@@ -575,11 +575,16 @@ func (c *Controller) LLCWrite(addr uint64) (res cache.LookupResult, ddo bool) {
 // containing addr — the batched form of calling LLCRead on each line in
 // ascending order. Counters accumulate in a local and flush once, and
 // the per-line DRAM data read (which happens unconditionally, hit or
-// miss) is distributed over the channels arithmetically instead of line
-// by line. Tag probes and NVRAM traffic remain per line because they
-// depend on cache state. Counter results — imc.Counters, per-channel
-// CAS, NVRAM media counters — are byte-identical to the per-line path
-// (the differential tests pin this).
+// miss) is distributed over the channels arithmetically. On a
+// direct-mapped store with read-allocate the range takes the set-stride
+// fold (seqfold.go): at most two probe wraps, which commit runs of sets
+// holding the same tag word at once and isolated sets one at a time,
+// then a uniform remainder committed in closed form with a bulk tag
+// stamp. Ways > 1 and the no-read-allocate ablation fall back to a walk
+// that probes, installs and issues NVRAM traffic per line. Counter
+// results — imc.Counters, per-channel CAS, NVRAM media counters — and
+// tag state are byte-identical to the per-line path (the differential
+// tests pin this).
 //
 //hot:entry batched demand path, driven on pooled controllers
 //alloc:free batched read path, 0 allocs/op by benchmark contract
@@ -656,9 +661,14 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 // LLCWriteRange services n consecutive line writebacks starting at the
 // line containing addr — the batched form of calling LLCWrite on each
 // line in ascending order, with counters accumulated in a local and
-// flushed once. DRAM traffic stays per line because it depends on the
-// per-line DDO and tag-check outcomes. Counter-identical to the
-// per-line path.
+// flushed once. On a direct-mapped store with write-allocate (DDO on
+// or off) the range takes the set-stride fold (seqfold.go): one probe
+// wrap that commits runs of sets holding the same tag word at once and
+// isolated sets one at a time, then a uniform dirty-miss remainder
+// committed in closed form with a bulk tag stamp. Ways > 1 and the
+// write-around ablation fall back to a walk that resolves the DDO and
+// tag-check outcome, and its DRAM and NVRAM traffic, per line.
+// Counter- and tag-identical to the per-line path.
 //
 //hot:entry batched writeback path, driven on pooled controllers
 //alloc:free batched write path, 0 allocs/op by benchmark contract

@@ -32,7 +32,7 @@ func newRangePair(t *testing.T, policy Policy) (perLine, batched *Controller) {
 }
 
 // assertSameTraffic asserts byte-identical controller counters,
-// per-channel CAS counts, and NVRAM interface/media counters.
+// per-channel CAS counts, and per-DIMM NVRAM interface/media counters.
 func assertSameTraffic(t *testing.T, label string, perLine, batched *Controller) {
 	t.Helper()
 	if a, b := perLine.Counters(), batched.Counters(); a != b {
@@ -45,12 +45,13 @@ func assertSameTraffic(t *testing.T, label string, perLine, batched *Controller)
 		}
 	}
 	type media struct{ r, w, mr, mw uint64 }
-	am := media{perLine.NVRAM.TotalReads(), perLine.NVRAM.TotalWrites(),
-		perLine.NVRAM.TotalMediaReads(), perLine.NVRAM.TotalMediaWrites()}
-	bm := media{batched.NVRAM.TotalReads(), batched.NVRAM.TotalWrites(),
-		batched.NVRAM.TotalMediaReads(), batched.NVRAM.TotalMediaWrites()}
-	if am != bm {
-		t.Errorf("%s: NVRAM media counters diverge: per-line %+v, batched %+v", label, am, bm)
+	for i := 0; i < perLine.NVRAM.DIMMs(); i++ {
+		a, b := perLine.NVRAM.DIMMAt(i), batched.NVRAM.DIMMAt(i)
+		am := media{a.Reads, a.Writes, a.MediaReads, a.MediaWrites}
+		bm := media{b.Reads, b.Writes, b.MediaReads, b.MediaWrites}
+		if am != bm {
+			t.Errorf("%s: DIMM %d counters diverge: per-line %+v, batched %+v", label, i, am, bm)
+		}
 	}
 }
 

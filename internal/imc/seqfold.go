@@ -13,9 +13,14 @@
 //	writes: tag miss, dirty victim = the line one set-wrap back,
 //	        victim writeback + fill + install + data write
 //
-// The fold therefore splits a range into predicated probe wraps (one
-// packed-word load/store per set, at most two wraps for reads, one for
-// writes) and a uniform remainder committed arithmetically: counters in
+// The fold therefore splits a range into predicated probe wraps (at
+// most two wraps for reads, one for writes) and a uniform remainder
+// committed arithmetically. A probe wrap commits runs: within a tag
+// segment, consecutive sets holding the same packed word take the same
+// outcome, so a run costs one word store per set plus bulk counter and
+// device calls, while an isolated set takes the per-set step. Prior
+// state that a sequential pass left behind is a handful of long runs;
+// random state is mostly isolated sets. The remainder commits counters in
 // O(1), per-channel CAS through dram's range distributor, NVRAM media
 // through the ascending-run entry points, and the final tag state as a
 // bulk stamp of the last window of sets. The interleaved writeback+read
@@ -77,25 +82,47 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 }
 
 // readProbeWrap services n consecutive read lines (n <= sets) with
-// LLCRead's per-line semantics folded to one packed-word load and store
-// per set, and reports how many hits preserved a dirty bit — the
-// condition for another predicated wrap. The per-line DRAM data read is
-// accounted by the caller for the whole range.
+// LLCRead's per-line semantics. Within a tag segment, consecutive sets
+// holding the same packed word take the same Table-I outcome, so a run
+// of them commits at once (commitRun); a set whose successor differs
+// takes the per-set step, so random or adversarial prior state costs
+// one packed-word load and store per set, as it always did. It reports
+// how many hits preserved a dirty bit — the condition for another
+// predicated wrap. The per-line DRAM data read is accounted by the
+// caller for the whole range.
 func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64) (dirtyHits uint64) {
 	sets := c.sets
-	nch := c.nch
 	set, tag := c.Cache.Index(addr)
 	chIdx := c.DRAM.ChannelIndex(addr)
 	a := addr
-	for i := uint64(0); i < n; i++ {
+	for n > 0 {
 		w := entries[set]
-		if w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag {
+		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
+		limit := set + min(n, sets-set)
+		k := uint64(1)
+		switch {
+		case set+1 < limit && entries[set+1] == w:
+			var t runTraffic
+			if hit {
+				k = claimRun(entries, set, limit, w|cache.EntryLLCOwned)
+				d.TagHit += k
+				if w&cache.EntryDirty != 0 {
+					dirtyHits += k
+				}
+			} else {
+				k = claimRun(entries, set, limit, cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned))
+				// Fill from NVRAM, install into DRAM.
+				t = runTraffic{casWrites: 1, fill: true}
+			}
+			chIdx = c.commitRun(d, t, w, set, a, chIdx, k)
+		case hit:
 			d.TagHit++
 			entries[set] = w | cache.EntryLLCOwned
 			if w&cache.EntryDirty != 0 {
 				dirtyHits++
 			}
-		} else {
+			chIdx = c.nextChannel(chIdx)
+		default:
 			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
 				d.TagMissDirty++
 				d.NVRAMWrite++
@@ -108,18 +135,108 @@ func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64
 			d.DRAMWrite++
 			c.DRAM.ChannelAt(chIdx).CASWrites++
 			entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned)
+			chIdx = c.nextChannel(chIdx)
 		}
-		set++
+		n -= k
+		set += k
 		if set == sets {
 			set, tag = 0, tag+1
 		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
-		}
-		a += mem.Line
+		a += k << mem.LineShift
 	}
 	return dirtyHits
+}
+
+// claimRun overwrites with nw the words from set up to limit that
+// equal entries[set], stopping at the first that differs, and returns
+// how many it overwrote (at least one). Fusing the run scan with the
+// store keeps a run at one pass over the tag array.
+func claimRun(entries []uint64, set, limit, nw uint64) uint64 {
+	w := entries[set]
+	i := set
+	for i < limit && entries[i] == w {
+		entries[i] = nw
+		i++
+	}
+	return i - set
+}
+
+// runTraffic is the device traffic every line of a probe run generates
+// besides its tag outcome.
+type runTraffic struct {
+	casReads  uint64 // DRAM CAS reads (the write tag check)
+	casWrites uint64 // DRAM CAS writes (fill install, data write)
+	fill      bool   // a tag miss: NVRAM fill, plus the victim writeback if dirty
+}
+
+// lineRunMin is the shortest run committed through the device layers'
+// bulk entry points. Those pay a fixed cost per call (a channel sweep,
+// an interleave-chunk step, the XPBuffer bound scan), so shorter runs —
+// the common case under random or adversarial prior state — step the
+// per-line device calls as the per-set walk always did.
+const lineRunMin = 8
+
+// commitRun commits the traffic t of a run of k lines from a (the
+// first on DRAM channel chIdx) over the sets from set, which held the
+// packed word w: counters, DRAM CAS and NVRAM, and for a miss the
+// clean/dirty classification and the victims' writeback — the run's
+// victims share w's tag, so they are k consecutive lines. NVRAM
+// traffic keeps its per-direction ascending order. It returns the
+// channel of the line after the run.
+func (c *Controller) commitRun(d *Counters, t runTraffic, w, set, a uint64, chIdx int, k uint64) int {
+	d.DRAMRead += t.casReads * k
+	d.DRAMWrite += t.casWrites * k
+	writeback := false
+	if t.fill {
+		d.NVRAMRead += k
+		if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
+			d.TagMissDirty += k
+			d.NVRAMWrite += k
+			writeback = true
+		} else {
+			d.TagMissClean += k
+		}
+	}
+	victim := (uint64(cache.EntryTagOf(w))*c.sets + set) << mem.LineShift
+	if k < lineRunMin {
+		for ; k > 0; k-- {
+			ch := c.DRAM.ChannelAt(chIdx)
+			ch.CASReads += t.casReads
+			ch.CASWrites += t.casWrites
+			if writeback {
+				c.NVRAM.Write(victim)
+				victim += mem.Line
+			}
+			if t.fill {
+				c.NVRAM.Read(a)
+			}
+			a += mem.Line
+			chIdx = c.nextChannel(chIdx)
+		}
+		return chIdx
+	}
+	if writeback {
+		c.NVRAM.WriteLineRun(victim, k)
+	}
+	if t.fill {
+		c.NVRAM.ReadLineRun(a, k)
+	}
+	for i := uint64(0); i < t.casReads; i++ {
+		c.DRAM.ReadRange(a, k)
+	}
+	for i := uint64(0); i < t.casWrites; i++ {
+		c.DRAM.WriteRange(a, k)
+	}
+	return c.DRAM.ChannelIndex(a + k<<mem.LineShift)
+}
+
+// nextChannel returns the DRAM channel index after chIdx.
+func (c *Controller) nextChannel(chIdx int) int {
+	chIdx++
+	if chIdx == c.nch {
+		chIdx = 0
+	}
+	return chIdx
 }
 
 // seqWriteRange is the closed-form body of LLCWriteRange. Preconditions:
@@ -158,59 +275,79 @@ func (c *Controller) seqWriteRange(entries []uint64, addr, n uint64) {
 }
 
 // writeProbeWrap services n consecutive writeback lines (n <= sets)
-// with LLCWrite's per-line semantics folded to one packed-word load and
-// store per set.
+// with LLCWrite's per-line semantics, committing runs of identical
+// packed words at once and isolated sets per set, like readProbeWrap.
 func (c *Controller) writeProbeWrap(entries []uint64, d *Counters, addr, n uint64) {
 	sets := c.sets
-	nch := c.nch
 	set, tag := c.Cache.Index(addr)
 	chIdx := c.DRAM.ChannelIndex(addr)
 	a := addr
-	for i := uint64(0); i < n; i++ {
+	for n > 0 {
 		w := entries[set]
-		ch := c.DRAM.ChannelAt(chIdx)
 		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
-		switch {
-		case hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case hit:
-			// DRAM read purely for the tag check, then the data write.
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		default:
-			d.DRAMRead++
-			ch.CASReads++
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-			} else {
-				d.TagMissClean++
+		ddo := hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0
+		limit := set + min(n, sets-set)
+		k := uint64(1)
+		if set+1 < limit && entries[set+1] == w {
+			var t runTraffic
+			switch {
+			case ddo:
+				k = claimRun(entries, set, limit, (w|cache.EntryDirty)&^cache.EntryLLCOwned)
+				d.DDO += k
+				d.TagHit += k
+				t = runTraffic{casWrites: 1}
+			case hit:
+				k = claimRun(entries, set, limit, (w|cache.EntryDirty)&^cache.EntryLLCOwned)
+				d.TagHit += k
+				// DRAM read purely for the tag check, then the data write.
+				t = runTraffic{casReads: 1, casWrites: 1}
+			default:
+				k = claimRun(entries, set, limit, cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty))
+				// Tag-check read; fill write, then the data write of the
+				// incoming line.
+				t = runTraffic{casReads: 1, casWrites: 2, fill: true}
 			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			// Fill write, then the data write of the incoming line.
-			d.DRAMWrite += 2
-			ch.CASWrites += 2
-			entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
+			chIdx = c.commitRun(d, t, w, set, a, chIdx, k)
+		} else {
+			ch := c.DRAM.ChannelAt(chIdx)
+			switch {
+			case ddo:
+				d.DDO++
+				d.TagHit++
+				d.DRAMWrite++
+				ch.CASWrites++
+				entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
+			case hit:
+				d.DRAMRead++
+				ch.CASReads++
+				d.TagHit++
+				d.DRAMWrite++
+				ch.CASWrites++
+				entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
+			default:
+				d.DRAMRead++
+				ch.CASReads++
+				if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
+					d.TagMissDirty++
+					d.NVRAMWrite++
+					c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
+				} else {
+					d.TagMissClean++
+				}
+				d.NVRAMRead++
+				c.NVRAM.Read(a)
+				d.DRAMWrite += 2
+				ch.CASWrites += 2
+				entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
+			}
+			chIdx = c.nextChannel(chIdx)
 		}
-		set++
+		n -= k
+		set += k
 		if set == sets {
 			set, tag = 0, tag+1
 		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
-		}
-		a += mem.Line
+		a += k << mem.LineShift
 	}
 }
 
@@ -258,22 +395,26 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 
 	sets := c.sets
 	head := min(n, sets)
-	c.pairProbeWrap(entries, &d, waddr, raddr, head)
+	c.pairProbeWrap(entries, &d, waddr, raddr, lag, head)
+	// Write stream past the first lag pairs, inside the probe wrap and
+	// beyond it: every write hits the line its paired read installed
+	// lag pairs earlier and the LLC still owns.
+	if n > lag {
+		wn := n - lag
+		wa := waddr + lag*mem.Line
+		d.TagHit += wn
+		if c.DisableDDO {
+			d.DRAMRead += wn
+			c.DRAM.ReadRange(wa, wn)
+		} else {
+			d.DDO += wn
+		}
+		d.DRAMWrite += wn
+		c.DRAM.WriteRange(wa, wn)
+	}
 	rem := n - head
 	if rem > 0 {
-		wa := waddr + head*mem.Line
 		ra := raddr + head*mem.Line
-		// Write stream: every write hits the line its paired read
-		// installed lag pairs ago and still owns.
-		d.TagHit += rem
-		if c.DisableDDO {
-			d.DRAMRead += rem
-			c.DRAM.ReadRange(wa, rem)
-		} else {
-			d.DDO += rem
-		}
-		d.DRAMWrite += rem
-		c.DRAM.WriteRange(wa, rem)
 		// Read stream: every probe evicts the dirty line installed one
 		// set wrap back, writes it back, refills, and reinstalls.
 		d.TagMissDirty += rem
@@ -302,89 +443,35 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 	}
 }
 
-// pairProbeWrap services n interleaved (writeback, read) pairs (n <=
-// sets) predicated against arbitrary tag state, folding each op to one
-// packed-word load and store. The read stream's per-line DRAM data read
-// is accounted by the caller for the whole range.
-func (c *Controller) pairProbeWrap(entries []uint64, d *Counters, waddr, raddr, n uint64) {
-	sets := c.sets
-	nch := c.nch
-	sw, tw := c.Cache.Index(waddr)
-	cw := c.DRAM.ChannelIndex(waddr)
-	sr, tr := c.Cache.Index(raddr)
-	cr := c.DRAM.ChannelIndex(raddr)
-	wa, ra := waddr, raddr
-	for i := uint64(0); i < n; i++ {
-		// Writeback op, LLCWrite semantics.
-		w := entries[sw]
-		ch := c.DRAM.ChannelAt(cw)
-		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tw
-		switch {
-		case hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			entries[sw] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case hit:
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			entries[sw] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		default:
-			d.DRAMRead++
-			ch.CASReads++
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + sw) << mem.LineShift)
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(wa)
-			d.DRAMWrite += 2
-			ch.CASWrites += 2
-			entries[sw] = cache.PackEntry(tw, cache.EntryValid|cache.EntryDirty)
-		}
-		// Demand read op, LLCRead semantics.
-		w = entries[sr]
-		if w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tr {
-			d.TagHit++
-			entries[sr] = w | cache.EntryLLCOwned
-		} else {
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + sr) << mem.LineShift)
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(ra)
-			d.DRAMWrite++
-			c.DRAM.ChannelAt(cr).CASWrites++
-			entries[sr] = cache.PackEntry(tr, cache.EntryValid|cache.EntryLLCOwned)
-		}
-		sw++
-		if sw == sets {
-			sw, tw = 0, tw+1
-		}
-		sr++
-		if sr == sets {
-			sr, tr = 0, tr+1
-		}
-		cw++
-		if cw == nch {
-			cw = 0
-		}
-		cr++
-		if cr == nch {
-			cr = 0
-		}
-		wa += mem.Line
-		ra += mem.Line
+// pairProbeWrap services the tag probes of n interleaved (writeback,
+// read) pairs (n <= sets) whose write stream trails the read stream by
+// lag lines, predicated against arbitrary tag state. It runs in three
+// steps, each preserving the per-pair path's per-set operation order
+// and its per-direction NVRAM order:
+//
+//  1. The first min(n, lag) pairs run per line, interleaved. Their
+//     writes touch lines this range never reads, whose sets the read
+//     stream reaches only at the end of the wrap.
+//  2. The remaining reads go through the run-length read probe. No
+//     write after step 1 shares a set with a read of this wrap.
+//  3. The remaining writes each hit the line their paired read
+//     installed lag pairs earlier, so their sets are stamped
+//     Valid|Dirty. They generate no NVRAM traffic, so committing them
+//     after the reads leaves device order unchanged; the caller counts
+//     them with the rest of the range's write stream.
+//
+// The read stream's per-line DRAM data read is accounted by the caller
+// for the whole range.
+func (c *Controller) pairProbeWrap(entries []uint64, d *Counters, waddr, raddr, lag, n uint64) {
+	head := min(n, lag)
+	for i := uint64(0); i < head; i++ {
+		c.writeProbeWrap(entries, d, waddr+i*mem.Line, 1)
+		c.readProbeWrap(entries, d, raddr+i*mem.Line, 1)
 	}
+	if n == head {
+		return
+	}
+	c.readProbeWrap(entries, d, raddr+head*mem.Line, n-head)
+	ws, wt := c.Cache.Index(waddr + head*mem.Line)
+	c.Cache.StampSeqRun(ws, wt, n-head, cache.EntryValid|cache.EntryDirty)
 }

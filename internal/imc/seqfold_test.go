@@ -58,6 +58,10 @@ func assertSameTagState(t *testing.T, label string, perLine, batched *Controller
 	}
 }
 
+// foldLag is the writeback lag of the pair primings and split cases:
+// the seq-demand geometry's lag (its LLC holds 64 lines).
+const foldLag = 64
+
 // foldPrimings returns named priming functions that put both
 // controllers of a pair into interesting identical pre-range states.
 func foldPrimings(sets uint64) map[string]func(c *Controller) {
@@ -76,6 +80,13 @@ func foldPrimings(sets uint64) map[string]func(c *Controller) {
 				c.LLCWrite(a)
 			}
 		},
+		"dirty-stripe": func(c *Controller) {
+			// Every other set dirty, so run commits alternate with
+			// single-set steps.
+			for a := uint64(0); a < sets*mem.Line; a += 2 * mem.Line {
+				c.LLCWrite(a)
+			}
+		},
 		"adversarial": func(c *Controller) {
 			// Aliased strided traffic: alternating tags per set region,
 			// a mix of dirty, clean, owned, and invalid sets, so a probe
@@ -87,6 +98,57 @@ func foldPrimings(sets uint64) map[string]func(c *Controller) {
 				c.LLCRead((i + (i%3)*sets) * mem.Line)
 			}
 		},
+		"previous-pass": func(c *Controller) {
+			// The state a sequential pass over twice the cache leaves
+			// behind, issued per line: a load sweep, then the store
+			// sweep's interleaved writeback/read pairs with writebacks
+			// foldLag lines behind — long runs of identical words.
+			for a := uint64(0); a < 2*sets*mem.Line; a += mem.Line {
+				c.LLCRead(a)
+			}
+			for i := uint64(0); i < 2*sets; i++ {
+				if i >= foldLag {
+					c.LLCWrite((i - foldLag) * mem.Line)
+				}
+				c.LLCRead(i * mem.Line)
+			}
+		},
+		"striped": func(c *Controller) { primeStriped(c, sets) },
+	}
+}
+
+// primeStriped installs runs of 1-9 consecutive lines cycling through
+// six resident states, every (length, state) pair in turn, over lines
+// [0, sets+40): the last runs wrap the set index, carrying the tag.
+// With run lengths that are not multiples of 4 or 64, runs start and
+// end at every offset of the 4-line media block and the 64-line NVRAM
+// interleave chunk. States are relative to a request for line L:
+// hit-clean, hit-dirty, owned (dirty and LLC-owned), clean miss and
+// dirty miss (an alias five tags up), and invalid (untouched).
+func primeStriped(c *Controller, sets uint64) {
+	const alias = 5
+	end := sets + 40
+	for l := uint64(0); l < end; {
+		for length := uint64(1); length <= 9 && l < end; length++ {
+			for state := 0; state < 6 && l < end; state++ {
+				for stop := min(l+length, end); l < stop; l++ {
+					a, b := l*mem.Line, (l+alias*sets)*mem.Line
+					switch state {
+					case 0:
+						c.LLCRead(a)
+					case 1:
+						c.LLCWrite(a)
+					case 2:
+						c.LLCWrite(a)
+						c.LLCRead(a)
+					case 3:
+						c.LLCRead(b)
+					case 4:
+						c.LLCWrite(b)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -132,13 +194,15 @@ func TestSeqFoldLongRanges(t *testing.T) {
 // fold and fallback alike — generates exactly the traffic and state of
 // the per-pair LLCWrite/LLCRead interleave it batches, across lags
 // inside the fold window (1 to sets-1), at and beyond it (fallback),
-// with mixed alignment, for every policy and priming.
+// with mixed alignment, for every policy and priming. With n == sets,
+// the reads at the end of the probe wrap reach the sets the head's
+// per-line writes touched.
 func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
 	for name, policy := range rangeTestPolicies() {
 		t.Run(name, func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
 			sets := probe.Cache.Sets()
-			lags := []uint64{1, 7, sets / 2, sets - 1, sets, sets + 5}
+			lags := []uint64{1, 7, foldLag, sets / 2, sets - 1, sets, sets + 5}
 			for pname, prime := range foldPrimings(sets) {
 				t.Run(pname, func(t *testing.T) {
 					perLine, batched := newFoldPair(t, policy)
@@ -177,7 +241,9 @@ func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
 // sequential range in one call and servicing it as back-to-back
 // subranges split at arbitrary cut points must produce byte-identical
 // traffic and tag state — the fold's segment boundaries (probe wraps,
-// uniform remainder, stamp window) cannot leak into the results.
+// run commits, the pair probe's steps, uniform remainder, stamp
+// window) cannot leak into the results. Read, write and writeback+read
+// ranges are each split, from every priming.
 func TestRangeSplitCommutes(t *testing.T) {
 	for name, policy := range rangeTestPolicies() {
 		t.Run(name, func(t *testing.T) {
@@ -192,40 +258,117 @@ func TestRangeSplitCommutes(t *testing.T) {
 				{2*sets + 5, 3 * sets},    // both cuts in the remainder
 				{1, 2, 3, sets, 3 * sets}, // many uneven pieces
 			}
-			for _, cuts := range cutVectors {
-				for _, write := range []bool{false, true} {
-					whole, split := newFoldPair(t, policy)
-					// Shared priming: a dirty stripe so splits land on
-					// non-trivial state.
-					for a := uint64(0); a < sets*mem.Line; a += 2 * mem.Line {
-						whole.LLCWrite(a)
-						split.LLCWrite(a)
-					}
-					const base = 17 * mem.Line
-					run := func(c *Controller, start, cnt uint64) {
-						if write {
-							c.LLCWriteRange(base+start*mem.Line, cnt)
-						} else {
-							c.LLCReadRange(base+start*mem.Line, cnt)
+			for pname, prime := range foldPrimings(sets) {
+				for _, cuts := range cutVectors {
+					for _, op := range []string{"read", "write", "pair"} {
+						whole, split := newFoldPair(t, policy)
+						prime(whole)
+						prime(split)
+						const base = 17 * mem.Line
+						run := func(c *Controller, start, cnt uint64) {
+							a := base + start*mem.Line
+							switch op {
+							case "read":
+								c.LLCReadRange(a, cnt)
+							case "write":
+								c.LLCWriteRange(a, cnt)
+							default:
+								c.LLCWritebackReadRange(a, a+foldLag*mem.Line, cnt)
+							}
 						}
+						run(whole, 0, n)
+						prev := uint64(0)
+						for _, cut := range cuts {
+							run(split, prev, cut-prev)
+							prev = cut
+						}
+						run(split, prev, n-prev)
+						label := pname + "-" + op
+						assertSameTraffic(t, label, whole, split)
+						assertSameTagState(t, label, whole, split)
 					}
-					run(whole, 0, n)
-					prev := uint64(0)
-					for _, cut := range cuts {
-						run(split, prev, cut-prev)
-						prev = cut
-					}
-					run(split, prev, n-prev)
-					label := name
-					if write {
-						label += "-write"
-					} else {
-						label += "-read"
-					}
-					assertSameTraffic(t, label, whole, split)
-					assertSameTagState(t, label, whole, split)
 				}
 			}
 		})
 	}
+}
+
+// newSeqDemandController builds a controller on the seq-demand
+// geometry — a 24 MiB DRAM cache over six channels and six DIMMs — and
+// returns it with its 2x-cache region's line count after one untimed
+// warm-up pass.
+func newSeqDemandController(b *testing.B) (c *Controller, lines uint64) {
+	b.Helper()
+	d, err := dram.New(6, 24*mem.MiB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := nvram.New(6, 384*mem.MiB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err = New(d, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines = 2 * c.Cache.Sets()
+	loadPass(c, lines)
+	storePass(c, lines)
+	return c, lines
+}
+
+// loadPass and storePass issue the controller traffic of a sequential
+// load and store pass over lines [0, lines) behind a foldLag-line LLC:
+// the load pass first drains the LLC's dirty tail, and the store pass's
+// writebacks trail its demand reads by foldLag lines.
+func loadPass(c *Controller, lines uint64) {
+	c.LLCWriteRange((lines-foldLag)*mem.Line, foldLag)
+	c.LLCReadRange(0, lines)
+}
+
+func storePass(c *Controller, lines uint64) {
+	c.LLCReadRange(0, foldLag)
+	c.LLCWritebackReadRange(0, foldLag*mem.Line, lines-foldLag)
+}
+
+// reportPerLine reports the benchmark's time per demand line, where
+// each iteration timed lines demand lines.
+func reportPerLine(b *testing.B, lines uint64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*lines), "ns/line")
+}
+
+// BenchmarkReadRangeAfterPass times the load pass's LLCReadRange over a
+// 2x-cache region, each time starting from the tag state the previous
+// store pass left (the store pass and the LLC drain run untimed).
+func BenchmarkReadRangeAfterPass(b *testing.B) {
+	c, lines := newSeqDemandController(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		storePass(c, lines)
+		c.LLCWriteRange((lines-foldLag)*mem.Line, foldLag)
+		b.StartTimer()
+		c.LLCReadRange(0, lines)
+	}
+	reportPerLine(b, lines)
+}
+
+// BenchmarkWritebackReadRangeAfterPass times the store pass's
+// LLCWritebackReadRange over a 2x-cache region at lag foldLag, each
+// time starting from the tag state the previous load pass left (the
+// load pass runs untimed). Each timed line is one (writeback, read)
+// pair.
+func BenchmarkWritebackReadRangeAfterPass(b *testing.B) {
+	c, lines := newSeqDemandController(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		loadPass(c, lines)
+		c.LLCReadRange(0, foldLag)
+		b.StartTimer()
+		c.LLCWritebackReadRange(0, foldLag*mem.Line, lines-foldLag)
+	}
+	reportPerLine(b, lines-foldLag)
 }
