@@ -225,8 +225,7 @@ func (c *Assoc) LLCOwned(handle uint64) bool {
 // Exported packed-entry primitives for the batched controller paths:
 // with the tag array flattened into a single []uint64, the bucketed
 // drain in internal/imc folds probe + install + flag updates into one
-// load and one store per request. Only the Ways==1 layout is exposed —
-// the generic path keeps going through Probe/Install.
+// load and one store per request.
 const (
 	// EntryValid, EntryDirty, EntryLLCOwned are the flag bits of a
 	// packed tag word, below EntryTagShift.
@@ -251,6 +250,11 @@ func (c *Assoc) DirectEntries() []uint64 {
 	}
 	return c.entries
 }
+
+// Entries exposes the flat packed tag array at any associativity,
+// indexed by probe handle. Callers may rewrite a word in place with the
+// Entry* primitives; LRU stamps stay behind ProbeAt and InstallTag.
+func (c *Assoc) Entries() []uint64 { return c.entries }
 
 // StampSeqRun overwrites count consecutive sets starting at set with
 // packed entries carrying the given flags and the tags of consecutive

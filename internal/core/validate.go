@@ -54,13 +54,11 @@ func (s *System) ValidateCounters() error {
 // counter snapshot and (optionally) the controller whose cache state
 // should absorb the difference between write-backs and dirty misses.
 func Validate2LM(ctr imc.Counters, ctrl *imc.Controller) error {
-	// Every demand request performs exactly one tag classification.
-	if ctr.TagAccesses() != ctr.Demand()-ctr.DDO {
-		// DDO-hit writes skip the explicit check but are still counted
-		// as hits; re-derive.
-		if ctr.TagAccesses() != ctr.Demand() {
-			return fmt.Errorf("imc: tag events %d != demand %d", ctr.TagAccesses(), ctr.Demand())
-		}
+	// Every demand request records exactly one tag event, under every
+	// policy: a DDO write skips the tag check but counts as a hit, and
+	// an around miss counts as clean.
+	if ctr.TagAccesses() != ctr.Demand() {
+		return fmt.Errorf("imc: tag events %d != demand %d", ctr.TagAccesses(), ctr.Demand())
 	}
 	// Every demand read costs at least one DRAM read (tag+data fetch);
 	// writes add tag-check reads except under DDO.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"twolm/internal/imc"
@@ -59,6 +60,29 @@ func TestValidateCatchesTampering(t *testing.T) {
 	s.Controller().NVRAM.Write(0)
 	if err := s.ValidateCounters(); err == nil {
 		t.Error("device/IMC divergence not detected")
+	}
+}
+
+// TestValidateCatchesMissingDDOHits: DDO writes count as tag hits, so a
+// snapshot whose TagHit omits them breaks the one-tag-event-per-demand
+// identity, even though every other identity still holds.
+func TestValidateCatchesMissingDDOHits(t *testing.T) {
+	s := newSystem(t, Mode2LM)
+	arr, _ := s.AddressSpace().Alloc(s.Platform().DRAMSize() / 4)
+	s.LoadRange(arr)
+	s.LoadRange(arr)
+	s.StoreRange(arr)
+	s.DrainLLC()
+	ctr := s.Counters()
+	if ctr.DDO == 0 {
+		t.Fatal("workload produced no DDO writes")
+	}
+	if err := Validate2LM(ctr, s.Controller()); err != nil {
+		t.Fatalf("untampered snapshot rejected: %v", err)
+	}
+	ctr.TagHit -= ctr.DDO
+	if err := Validate2LM(ctr, s.Controller()); err == nil || !strings.Contains(err.Error(), "tag events") {
+		t.Errorf("snapshot without DDO tag hits: err = %v, want a tag-event mismatch", err)
 	}
 }
 

@@ -4,15 +4,12 @@
 //
 // The controller implements exactly the decision flow the paper reverse
 // engineers (Figure 3) and generates exactly the per-request DRAM and
-// NVRAM transactions of Table I:
-//
-//	                LLC Read            LLC Write
-//	             Hit  MissC MissD   Hit  MissC MissD  DDO
-//	DRAM Read     1     1     1      1     1     1     -
-//	DRAM Write    -     1     1      1     2     2     1
-//	NVRAM Read    -     1     1      -     1     1     -
-//	NVRAM Write   -     -     1      -     -     1     -
-//	Amplification 1     3     4      2     4     5     1
+// NVRAM transactions of Table I. table.go is the only encoding of both:
+// Table I is one row of counter events per outcome column, Figure 3 is
+// the pure function step, and New evaluates step once per controller
+// into a 16-entry transition table. Every dispatch path — per line,
+// scatter batches, sequential folds — looks up that table and commits k
+// times a column's row.
 //
 // Key behaviors:
 //
@@ -174,12 +171,17 @@ type Controller struct {
 	DRAM  *dram.Module
 	NVRAM *nvram.Module
 
-	// DisableDDO turns the Dirty Data Optimization off, for ablation
-	// studies of the mechanism the paper could not pin down.
-	DisableDDO bool
+	policy Policy
 
-	policy   Policy
-	counters Counters
+	// trans is step evaluated for this controller's policy, indexed by
+	// outcome (table.go).
+	trans [16]transition
+
+	// The event counters are tally × tableI plus flushWrites: tally
+	// counts the requests committed per Table I column, flushWrites
+	// the NVRAM writebacks of FlushAll.
+	tally       [numColumns]uint64
+	flushWrites uint64
 
 	// Geometry, copied out of the tag store and DRAM module so the hot
 	// request paths touch one cache line of controller state.
@@ -227,27 +229,6 @@ type streamLocator struct {
 	tag   uint32
 	chIdx int
 	valid bool
-}
-
-// locate decomposes addr into its tag-store set/tag and DRAM channel
-// index, taking the incremental path when addr is the line right after
-// the stream's previous one.
-func (c *Controller) locate(m *streamLocator, addr uint64) (set uint64, tag uint32, chIdx int) {
-	line := addr >> mem.LineShift
-	if m.valid && line == m.line+1 {
-		set, tag, chIdx = m.set+1, m.tag, m.chIdx+1
-		if set == c.sets {
-			set, tag = 0, tag+1
-		}
-		if chIdx == c.nch {
-			chIdx = 0
-		}
-	} else {
-		set, tag = c.Cache.Index(addr)
-		chIdx = c.DRAM.ChannelIndex(addr)
-	}
-	m.line, m.set, m.tag, m.chIdx, m.valid = line, set, tag, chIdx, true
-	return set, tag, chIdx
 }
 
 // config collects the optional construction parameters of New.
@@ -298,13 +279,13 @@ func New(dramMod *dram.Module, nvramMod *nvram.Module, opts ...Option) (*Control
 		return nil, fmt.Errorf("imc: %w", err)
 	}
 	c := &Controller{
-		Cache:      dc,
-		DRAM:       dramMod,
-		NVRAM:      nvramMod,
-		DisableDDO: cfg.policy.DisableDDO,
-		policy:     cfg.policy,
-		sets:       dc.Sets(),
-		nch:        dramMod.Channels(),
+		Cache:  dc,
+		DRAM:   dramMod,
+		NVRAM:  nvramMod,
+		policy: cfg.policy,
+		trans:  transitions(cfg.policy),
+		sets:   dc.Sets(),
+		nch:    dramMod.Channels(),
 	}
 	c.initScatter()
 	c.SetTelemetry(cfg.sink, cfg.sampleEvery)
@@ -321,7 +302,7 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 	c.haveSample = false
 	c.lastSample = 0
 	if sink != nil {
-		c.nextSample = telemetry.NextBoundary(c.counters.Demand(), every)
+		c.nextSample = telemetry.NextBoundary(c.demand(), every)
 	}
 }
 
@@ -331,7 +312,7 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 // partitioned over combining buffers, which serial and sharded
 // executions do differently; use nvram.Module.Snapshot for media.
 func (c *Controller) Snapshot() telemetry.Sample {
-	ctr := c.counters
+	ctr := c.Counters()
 	s := telemetry.Sample{
 		Demand:       ctr.Demand(),
 		LLCRead:      ctr.LLCRead,
@@ -358,7 +339,7 @@ func (c *Controller) Snapshot() telemetry.Sample {
 // maybeSample records a sample if the demand clock crossed the next
 // sampling boundary. Callers have already checked sink != nil.
 func (c *Controller) maybeSample() {
-	d := c.counters.Demand()
+	d := c.demand()
 	if d < c.nextSample {
 		return
 	}
@@ -380,7 +361,7 @@ func (c *Controller) FlushTelemetry() {
 	if c.sink == nil {
 		return
 	}
-	d := c.counters.Demand()
+	d := c.demand()
 	if c.haveSample && d == c.lastSample {
 		return
 	}
@@ -389,11 +370,6 @@ func (c *Controller) FlushTelemetry() {
 
 // Policy returns the controller's configured policy.
 func (c *Controller) Policy() Policy { return c.policy }
-
-// Counters returns a snapshot of the event counters.
-//
-//hot:entry observers snapshot pooled controllers between and during jobs
-func (c *Controller) Counters() Counters { return c.counters }
 
 // ResetCounters zeroes the event counters without touching cache state,
 // mirroring how the paper primes the cache and then measures: tags
@@ -408,7 +384,8 @@ func (c *Controller) Counters() Counters { return c.counters }
 // make a recycled controller indistinguishable from a freshly
 // constructed one.
 func (c *Controller) ResetCounters() {
-	c.counters = Counters{}
+	c.tally = [numColumns]uint64{}
+	c.flushWrites = 0
 	c.DRAM.Reset()
 	c.NVRAM.Reset()
 	if c.sink != nil {
@@ -454,36 +431,6 @@ func (c *Controller) Reset() {
 	c.ResetCounters()
 }
 
-// countMiss records the miss classification into ctr and writes back a
-// dirty victim at h.
-func (c *Controller) countMiss(ctr *Counters, h uint64, res cache.LookupResult) {
-	if res == cache.MissDirty {
-		ctr.TagMissDirty++
-		if victim, ok := c.Cache.VictimAddr(h); ok {
-			ctr.NVRAMWrite++
-			c.NVRAM.Write(victim)
-		}
-	} else {
-		ctr.TagMissClean++
-	}
-}
-
-// missHandler implements the shared miss path of Figure 3: write back
-// the victim if dirty, fetch the requested line from NVRAM, and insert
-// it into the DRAM cache. ctr is the counter set to record into (the
-// live counters, or a batch-local delta) and ch is addr's DRAM channel,
-// resolved once by the caller.
-func (c *Controller) missHandler(ctr *Counters, ch *dram.Channel, addr, h uint64, tag uint32, res cache.LookupResult) {
-	c.countMiss(ctr, h, res)
-	// Fetch the requested line from NVRAM...
-	ctr.NVRAMRead++
-	c.NVRAM.Read(addr)
-	// ...and insert it into the cache (always insert on miss).
-	ctr.DRAMWrite++
-	ch.CASWrites++
-	c.Cache.InstallTag(h, tag)
-}
-
 // LLCRead services a demand request from the LLC: a load miss or an RFO
 // for a store. The data (and its ECC tag) is read from DRAM; on a tag
 // miss the miss handler fills from NVRAM.
@@ -491,31 +438,7 @@ func (c *Controller) missHandler(ctr *Counters, ch *dram.Channel, addr, h uint64
 //hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
 //alloc:free per-line demand path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
-	c.counters.LLCRead++
-	set, tag, chIdx := c.locate(&c.readLoc, addr)
-	h, res := c.Cache.ProbeAt(set, tag)
-	ch := c.DRAM.ChannelAt(chIdx)
-
-	// DRAM read: fetch tag and data together.
-	c.counters.DRAMRead++
-	ch.CASReads++
-
-	switch {
-	case res == cache.Hit:
-		c.counters.TagHit++
-	case !c.policy.ReadAllocate:
-		// Ablation: forward from NVRAM without caching. No victim is
-		// disturbed, so the miss counts as clean.
-		c.counters.TagMissClean++
-		c.counters.NVRAMRead++
-		c.NVRAM.Read(addr)
-		return res
-	default:
-		c.missHandler(&c.counters, ch, addr, h, tag, res)
-	}
-	// The hierarchy now holds this line; its eventual writeback can use
-	// the Dirty Data Optimization.
-	c.Cache.SetLLCOwned(h, true)
+	res, _ := c.access(0, &c.readLoc, addr)
 	return res
 }
 
@@ -526,65 +449,19 @@ func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
 //hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
 //alloc:free per-line writeback path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCWrite(addr uint64) (res cache.LookupResult, ddo bool) {
-	c.counters.LLCWrite++
-	set, tag, chIdx := c.locate(&c.writeLoc, addr)
-	h, res := c.Cache.ProbeAt(set, tag)
-	ch := c.DRAM.ChannelAt(chIdx)
-
-	if !c.DisableDDO && res == cache.Hit && c.Cache.LLCOwned(h) {
-		// DDO: the controller knows the LLC owns this exact line, so
-		// the tag check is unnecessary — forward the write to DRAM.
-		c.counters.DDO++
-		c.counters.TagHit++
-		c.counters.DRAMWrite++
-		ch.CASWrites++
-		c.Cache.MarkDirty(h)
-		c.Cache.SetLLCOwned(h, false)
-		return res, true
-	}
-
-	// DRAM read purely for the tag check.
-	c.counters.DRAMRead++
-	ch.CASReads++
-
-	switch {
-	case res == cache.Hit:
-		c.counters.TagHit++
-	case !c.policy.WriteAllocate:
-		// Ablation: write-around. The line goes straight to NVRAM and
-		// the cache (including any victim) is left alone.
-		c.counters.TagMissClean++
-		c.counters.NVRAMWrite++
-		c.NVRAM.Write(addr)
-		return res, false
-	default:
-		// Insert-on-miss, even for a full-line write: the miss handler
-		// fetches the line from NVRAM and installs it first.
-		c.missHandler(&c.counters, ch, addr, h, tag, res)
-	}
-
-	// The actual write of the incoming line.
-	c.counters.DRAMWrite++
-	ch.CASWrites++
-	c.Cache.MarkDirty(h)
-	c.Cache.SetLLCOwned(h, false)
-	return res, false
+	res, col := c.access(1, &c.writeLoc, addr)
+	return res, col == colDDO
 }
 
 // LLCReadRange services n consecutive line reads starting at the line
 // containing addr — the batched form of calling LLCRead on each line in
-// ascending order. Counters accumulate in a local and flush once, and
-// the per-line DRAM data read (which happens unconditionally, hit or
-// miss) is distributed over the channels arithmetically. On a
+// ascending order, with identical counters, per-channel CAS, NVRAM
+// media counters and tag state (the differential tests pin this). On a
 // direct-mapped store with read-allocate the range takes the set-stride
-// fold (seqfold.go): at most two probe wraps, which commit runs of sets
-// holding the same tag word at once and isolated sets one at a time,
-// then a uniform remainder committed in closed form with a bulk tag
-// stamp. Ways > 1 and the no-read-allocate ablation fall back to a walk
-// that probes, installs and issues NVRAM traffic per line. Counter
-// results — imc.Counters, per-channel CAS, NVRAM media counters — and
-// tag state are byte-identical to the per-line path (the differential
-// tests pin this).
+// fold (seqfold.go), which commits table.go's rows per set, per run of
+// sets holding the same tag word, and k times over for its uniform
+// remainder. Ways > 1 and the no-read-allocate ablation take LLCRead per
+// line.
 //
 //hot:entry batched demand path, driven on pooled controllers
 //alloc:free batched read path, 0 allocs/op by benchmark contract
@@ -592,67 +469,13 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	// Direct-mapped stores with read-allocate take the closed-form
-	// set-stride fold (seqfold.go); Ways>1 and the no-allocate ablation
-	// keep the per-line walk below.
 	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.ReadAllocate {
 		c.seqReadRange(entries, addr, n)
-		if c.sink != nil {
-			c.maybeSample()
-		}
-		return
-	}
-	var d Counters
-	d.LLCRead = n
-	d.DRAMRead = n
-	c.DRAM.ReadRange(addr, n)
-	// Consecutive lines map to consecutive tag-store sets and DRAM
-	// channels, so the walk advances both incrementally after a single
-	// division at the range start.
-	sets := c.Cache.Sets()
-	set, tag := c.Cache.Index(addr)
-	nch := c.DRAM.Channels()
-	chIdx := c.DRAM.ChannelIndex(addr)
-	end := addr + n*mem.Line
-	for a := addr; a < end; a += mem.Line {
-		h, res := c.Cache.ProbeAt(set, tag)
-		switch {
-		case res == cache.Hit:
-			d.TagHit++
-			c.Cache.SetLLCOwned(h, true)
-		case !c.policy.ReadAllocate:
-			// Ablation: forward from NVRAM without caching; the
-			// hierarchy never owns an uncached line.
-			d.TagMissClean++
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-		default:
-			if res == cache.MissDirty {
-				d.TagMissDirty++
-				if victim, ok := c.Cache.VictimAddr(h); ok {
-					d.NVRAMWrite++
-					c.NVRAM.Write(victim)
-				}
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			d.DRAMWrite++
-			c.DRAM.ChannelAt(chIdx).CASWrites++
-			c.Cache.InstallTag(h, tag)
-			c.Cache.SetLLCOwned(h, true)
-		}
-		set++
-		if set == sets {
-			set, tag = 0, tag+1
-		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
+	} else {
+		for i := uint64(0); i < n; i++ {
+			c.LLCRead(addr + i*mem.Line)
 		}
 	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -660,15 +483,11 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 
 // LLCWriteRange services n consecutive line writebacks starting at the
 // line containing addr — the batched form of calling LLCWrite on each
-// line in ascending order, with counters accumulated in a local and
-// flushed once. On a direct-mapped store with write-allocate (DDO on
-// or off) the range takes the set-stride fold (seqfold.go): one probe
-// wrap that commits runs of sets holding the same tag word at once and
-// isolated sets one at a time, then a uniform dirty-miss remainder
-// committed in closed form with a bulk tag stamp. Ways > 1 and the
-// write-around ablation fall back to a walk that resolves the DDO and
-// tag-check outcome, and its DRAM and NVRAM traffic, per line.
-// Counter- and tag-identical to the per-line path.
+// line in ascending order, counter- and tag-identical to it. On a
+// direct-mapped store with write-allocate (DDO on or off) the range
+// takes the set-stride fold (seqfold.go), committing table.go's rows
+// like LLCReadRange. Ways > 1 and the write-around ablation take
+// LLCWrite per line.
 //
 //hot:entry batched writeback path, driven on pooled controllers
 //alloc:free batched write path, 0 allocs/op by benchmark contract
@@ -676,86 +495,13 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	// Direct-mapped stores with write-allocate take the closed-form
-	// set-stride fold (seqfold.go; DisableDDO folds too — it only picks
-	// the uniform write formula). Ways>1 and write-around fall back.
 	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.WriteAllocate {
 		c.seqWriteRange(entries, addr, n)
-		if c.sink != nil {
-			c.maybeSample()
-		}
-		return
-	}
-	var d Counters
-	d.LLCWrite = n
-	sets := c.Cache.Sets()
-	set, tag := c.Cache.Index(addr)
-	nch := c.DRAM.Channels()
-	chIdx := c.DRAM.ChannelIndex(addr)
-	end := addr + n*mem.Line
-	for a := addr; a < end; a += mem.Line {
-		h, res := c.Cache.ProbeAt(set, tag)
-		ch := c.DRAM.ChannelAt(chIdx)
-
-		switch {
-		case !c.DisableDDO && res == cache.Hit && c.Cache.LLCOwned(h):
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		case res == cache.Hit:
-			// DRAM read purely for the tag check.
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		case !c.policy.WriteAllocate:
-			// Ablation: write-around straight to NVRAM after the tag
-			// check.
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagMissClean++
-			d.NVRAMWrite++
-			c.NVRAM.Write(a)
-		default:
-			d.DRAMRead++
-			ch.CASReads++
-			if res == cache.MissDirty {
-				d.TagMissDirty++
-				if victim, ok := c.Cache.VictimAddr(h); ok {
-					d.NVRAMWrite++
-					c.NVRAM.Write(victim)
-				}
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.InstallTag(h, tag)
-			// The actual write of the incoming line.
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		}
-
-		set++
-		if set == sets {
-			set, tag = 0, tag+1
-		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
+	} else {
+		for i := uint64(0); i < n; i++ {
+			c.LLCWrite(addr + i*mem.Line)
 		}
 	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -766,7 +512,7 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 // are recorded for the writebacks. O(lines).
 func (c *Controller) FlushAll() {
 	c.Cache.ForEachDirty(func(addr uint64) {
-		c.counters.NVRAMWrite++
+		c.flushWrites++
 		c.NVRAM.Write(addr)
 	})
 	c.Cache.Reset()

@@ -160,7 +160,7 @@ func TestPolicyAccessor(t *testing.T) {
 	if got := c.Policy(); got != p {
 		t.Errorf("Policy() = %+v, want %+v", got, p)
 	}
-	if !c.DisableDDO {
+	if !c.Policy().DisableDDO {
 		t.Error("DisableDDO not propagated from policy")
 	}
 }

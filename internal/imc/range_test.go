@@ -38,38 +38,69 @@ func assertSameTraffic(t *testing.T, label string, perLine, batched *Controller)
 	if a, b := perLine.Counters(), batched.Counters(); a != b {
 		t.Errorf("%s: counters diverge\n per-line: %v\n batched:  %v", label, a, b)
 	}
-	ac, bc := perLine.DRAM.ChannelCounters(), batched.DRAM.ChannelCounters()
+	assertSameDevices(t, label, perLine.DRAM, batched.DRAM, perLine.NVRAM, batched.NVRAM)
+}
+
+// assertSameDevices asserts byte-identical per-channel CAS counts and
+// per-DIMM NVRAM interface/media counters of two module pairs.
+func assertSameDevices(t *testing.T, label string, da, db *dram.Module, na, nb *nvram.Module) {
+	t.Helper()
+	ac, bc := da.ChannelCounters(), db.ChannelCounters()
 	for i := range ac {
 		if ac[i] != bc[i] {
-			t.Errorf("%s: channel %d CAS diverges: per-line %+v, batched %+v", label, i, ac[i], bc[i])
+			t.Errorf("%s: channel %d CAS diverges: %+v vs %+v", label, i, ac[i], bc[i])
 		}
 	}
 	type media struct{ r, w, mr, mw uint64 }
-	for i := 0; i < perLine.NVRAM.DIMMs(); i++ {
-		a, b := perLine.NVRAM.DIMMAt(i), batched.NVRAM.DIMMAt(i)
+	for i := 0; i < na.DIMMs(); i++ {
+		a, b := na.DIMMAt(i), nb.DIMMAt(i)
 		am := media{a.Reads, a.Writes, a.MediaReads, a.MediaWrites}
 		bm := media{b.Reads, b.Writes, b.MediaReads, b.MediaWrites}
 		if am != bm {
-			t.Errorf("%s: DIMM %d counters diverge: per-line %+v, batched %+v", label, i, am, bm)
+			t.Errorf("%s: DIMM %d counters diverge: %+v vs %+v", label, i, am, bm)
 		}
 	}
 }
 
-// rangeTestPolicies is the policy matrix of the acceptance criteria.
-func rangeTestPolicies() map[string]Policy {
-	hw := HardwarePolicy()
-	noWA := hw
-	noWA.WriteAllocate = false
-	noRA := hw
-	noRA.ReadAllocate = false
-	noDDO := hw
-	noDDO.DisableDDO = true
-	ways4 := hw
-	ways4.Ways = 4
-	return map[string]Policy{
-		"hardware": hw, "no-write-allocate": noWA,
-		"no-read-allocate": noRA, "ddo-off": noDDO, "4-way": ways4,
+// policyCase is one entry of the test policy matrix: the hardware
+// policy or one of its ablations, at one associativity.
+type policyCase struct {
+	ablation string
+	ways     int
+	policy   Policy
+}
+
+// policyMatrix crosses the hardware policy and its three ablations with
+// direct-mapped and 4-way stores.
+func policyMatrix() []policyCase {
+	var out []policyCase
+	for _, ways := range []int{1, 4} {
+		hw := HardwarePolicy()
+		hw.Ways = ways
+		noWA, noRA, noDDO := hw, hw, hw
+		noWA.WriteAllocate = false
+		noRA.ReadAllocate = false
+		noDDO.DisableDDO = true
+		out = append(out,
+			policyCase{"hardware", ways, hw},
+			policyCase{"no-write-allocate", ways, noWA},
+			policyCase{"no-read-allocate", ways, noRA},
+			policyCase{"ddo-off", ways, noDDO})
 	}
+	return out
+}
+
+// rangeName is the case's subtest name in the range and fold tests:
+// the ablation when direct mapped, "4-way" for the 4-way hardware
+// policy, and the ablation under "/4-way" for the 4-way ablations.
+func (pc policyCase) rangeName() string {
+	switch {
+	case pc.ways == 1:
+		return pc.ablation
+	case pc.ablation == "hardware":
+		return "4-way"
+	}
+	return pc.ablation + "/4-way"
 }
 
 // TestRangeMatchesPerLine replays the same interleaved read/write
@@ -79,7 +110,8 @@ func rangeTestPolicies() map[string]Policy {
 func TestRangeMatchesPerLine(t *testing.T) {
 	const chunk = 37 // lines per range call; odd so chunks straddle channels
 	const span = 96 * mem.KiB
-	for name, policy := range rangeTestPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := pc.rangeName(), pc.policy
 		t.Run(name, func(t *testing.T) {
 			perLine, batched := newRangePair(t, policy)
 			// Alternate read and write chunks over a span exceeding the
@@ -113,7 +145,8 @@ func TestRangeMatchesPerLine(t *testing.T) {
 func TestRangeRMWPattern(t *testing.T) {
 	const chunk = 64
 	const span = 64 * mem.KiB
-	for name, policy := range rangeTestPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := pc.rangeName(), pc.policy
 		t.Run(name, func(t *testing.T) {
 			perLine, batched := newRangePair(t, policy)
 			for base := uint64(0); base+chunk*mem.Line <= span; base += chunk * mem.Line {
@@ -136,7 +169,8 @@ func TestRangeRMWPattern(t *testing.T) {
 // cache rather than a cold one.
 func TestRangeAfterRandomState(t *testing.T) {
 	const lines = 1 << 12
-	for name, policy := range rangeTestPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := pc.rangeName(), pc.policy
 		t.Run(name, func(t *testing.T) {
 			perLine, batched := newRangePair(t, policy)
 			err := lfsr.Sequence(lines, 0xC0DE, func(idx uint64) {

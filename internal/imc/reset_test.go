@@ -1,33 +1,12 @@
 package imc
 
 import (
+	"fmt"
 	"testing"
 
 	"twolm/internal/lfsr"
 	"twolm/internal/mem"
 )
-
-// resetTestPolicies is the reuse acceptance matrix: all four policy
-// ablations at both associativities.
-func resetTestPolicies() map[string]Policy {
-	out := map[string]Policy{}
-	for _, ways := range []int{1, 4} {
-		hw := HardwarePolicy()
-		hw.Ways = ways
-		noWA := hw
-		noWA.WriteAllocate = false
-		noRA := hw
-		noRA.ReadAllocate = false
-		noDDO := hw
-		noDDO.DisableDDO = true
-		suffix := map[int]string{1: "/1-way", 4: "/4-way"}[ways]
-		out["hardware"+suffix] = hw
-		out["no-write-allocate"+suffix] = noWA
-		out["no-read-allocate"+suffix] = noRA
-		out["ddo-off"+suffix] = noDDO
-	}
-	return out
-}
 
 // exerciseController drives every request shape the controller has —
 // per-line, batched ranges, and scatter dispatch — over a footprint
@@ -73,7 +52,8 @@ func exerciseController(t *testing.T, c *Controller, seed uint32) {
 // a freshly constructed controller, over all four policy ablations x
 // Ways 1,4.
 func TestResetMatchesFresh(t *testing.T) {
-	for name, policy := range resetTestPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := fmt.Sprintf("%s/%d-way", pc.ablation, pc.ways), pc.policy
 		t.Run(name, func(t *testing.T) {
 			fresh, recycled := newRangePair(t, policy)
 			// Dirty the recycled controller with a different workload

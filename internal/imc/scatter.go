@@ -10,26 +10,28 @@
 //     in a loop small enough that the out-of-order window holds dozens
 //     of iterations — the random tag-array fetches overlap at the
 //     memory system's full concurrency. The heavy pass then probes and
-//     updates the same (now cache-warm) words IN REQUEST ORDER, so the
-//     tag state sequence, every imc counter, and the per-channel CAS
-//     counts are byte-identical to serial dispatch by construction.
+//     updates the same (now cache-warm) words IN REQUEST ORDER through
+//     the controller's transition table (table.go), so the tag state
+//     sequence, every imc counter, and the per-channel CAS counts are
+//     byte-identical to serial dispatch by construction.
 //
 //  2. NVRAM device calls are not issued inside the heavy pass (a
-//     call per miss on an unpredictable branch). Each miss's fill read
-//     and each dirty victim's writeback are instead appended — still in
-//     request order — to a queue per (DIMM, direction), and the queues
-//     are applied after the batch as tight homogeneous loops inside the
-//     nvram package. Legality: the interleave map is a pure function of
-//     the address, DIMMs share no state, and within one DIMM the read
-//     path (read memo, media read count) and the write path (combining
-//     buffer, write memo, media write count) touch disjoint fields — so
-//     the only orders that matter are the per-DIMM same-direction
-//     orders, which append order preserves exactly. Every interface and
-//     media counter is byte-identical to serial dispatch, and the
-//     queues may be applied in ANY order — the shuffle property test
-//     permutes them and asserts byte-identity; the differential tests
-//     pin byte-identity against the per-line path across all policy
-//     ablations. See DESIGN.md §4e for the full argument.
+//     call per miss on an unpredictable branch). Each NVRAM read (a
+//     fill, or a read-around line) and each NVRAM write (a dirty
+//     victim's writeback, or a write-around line) is instead appended
+//     — still in request order — to a queue per (DIMM, direction), and
+//     the queues are applied after the batch as tight homogeneous loops
+//     inside the nvram package. Legality: the interleave map is a pure
+//     function of the address, DIMMs share no state, and within one
+//     DIMM the read path (read memo, media read count) and the write
+//     path (combining buffer, write memo, media write count) touch
+//     disjoint fields — so the only orders that matter are the per-DIMM
+//     same-direction orders, which append order preserves exactly.
+//     Every interface and media counter is byte-identical to serial
+//     dispatch, and the queues may be applied in ANY order — the
+//     shuffle property test permutes them and asserts byte-identity,
+//     across all policy ablations. See DESIGN.md §4e for the full
+//     argument.
 package imc
 
 import (
@@ -86,12 +88,11 @@ type scatterState struct {
 	ctag [dispatchChunk]uint32
 	cchi [dispatchChunk]uint32 // channel | chiWrite
 
-	// Per-chunk deferred-NVRAM staging: fill reads and victim
-	// writebacks collected by the heavy pass through register cursors,
-	// partitioned into the per-DIMM queues by the tiny loops that
-	// follow it.
-	cfill [dispatchChunk]uint64
-	cvict [dispatchChunk]uint64
+	// Per-chunk deferred-NVRAM staging: the reads and writes collected
+	// by the heavy pass through register cursors, partitioned into the
+	// per-DIMM queues by the tiny loops that follow it.
+	cread  [dispatchChunk]uint64
+	cwrite [dispatchChunk]uint64
 
 	casR []uint64 // per-channel CAS deltas of the current batch
 	casW []uint64
@@ -225,7 +226,7 @@ func (c *Controller) LLCWriteScatter(addrs []uint64) {
 }
 
 // scatterSerial dispatches a batch through the per-line entry points:
-// the associative (Ways > 1) ablations and geometry fallbacks, where
+// the associative (Ways > 1) stores and geometry fallbacks, where
 // request order and device-call order are trivially serial.
 func (c *Controller) scatterSerial(reqs []Req) {
 	for _, r := range reqs {
@@ -244,8 +245,9 @@ func (c *Controller) scatterSerial(reqs []Req) {
 // results — imc.Counters, per-channel CAS, NVRAM interface and media
 // counters — are byte-identical to dispatching each request serially
 // in slice order (the differential tests pin this); requests are
-// processed in slice order, with only the NVRAM device calls regrouped
-// per DIMM and direction.
+// processed in slice order through the transition table (table.go),
+// with only the NVRAM device calls regrouped per DIMM and direction.
+// Ways > 1 stores take the per-line entry points.
 //
 //hot:entry mixed-batch dispatch path, driven on pooled controllers
 //alloc:free 0 allocs/op by benchmark contract (PR 7 steady-state guarantee)
@@ -261,12 +263,7 @@ func (c *Controller) LLCScatter(reqs []Req) {
 	}
 	clear(st.casR)
 	clear(st.casW)
-	var d Counters
-	if c.policy.ReadAllocate && c.policy.WriteAllocate && !c.DisableDDO {
-		c.dispatchHW(&d, words, reqs)
-	} else {
-		c.dispatchAblate(&d, words, reqs)
-	}
+	c.dispatch(words, reqs)
 	for i, r := range st.casR {
 		c.DRAM.ChannelAt(i).CASReads += r
 	}
@@ -274,38 +271,25 @@ func (c *Controller) LLCScatter(reqs []Req) {
 		c.DRAM.ChannelAt(i).CASWrites += w
 	}
 	c.applyQueues()
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
 }
 
-// dispatchHW is the dispatch loop for the configuration every headline
-// experiment runs: direct mapped (Ways==1) with the hardware policy
-// (read + write allocate, DDO on). The tag outcome splits the demand
-// stream roughly in half under random traffic, so any branch on it
-// mispredicts constantly; the heavy pass is straight-line instead —
-// every counter update is predicated arithmetic on the probe outcome
-// bits, and the deferred NVRAM appends store unconditionally with a
-// masked cursor bump (the slot is overwritten when the request defers
-// nothing). Counter results are identical to the per-line path (the
-// differential and shuffle tests run the same traffic through every
-// ablation at Ways 1 and 4).
-func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
+// dispatch is the chunked dispatch loop over the direct-mapped (Ways==1)
+// tag array, for every policy. The tag outcome splits random demand
+// roughly in half, so any branch on it mispredicts constantly; the heavy
+// pass is straight-line instead — the outcome bits index the transition
+// table, whose entry supplies the column, the CAS increments, the
+// deferred-NVRAM cursor bumps and the word update, and the deferred
+// NVRAM appends store unconditionally with a masked cursor bump (the
+// slot is overwritten when the request defers nothing).
+func (c *Controller) dispatch(words []uint64, reqs []Req) {
 	st := &c.scat
 	sets := c.sets
 	casR, casW := st.casR, st.casW
 	nd := st.ndimm
 	dimmDiv := st.dimmDiv
-	// Counter accumulators live in plain locals so they stay in
-	// registers: a += on a shared *Counters field is a memory
-	// read-modify-write whose store the next iteration's load depends
-	// on, and a dozen such chains per request serialize the whole loop.
-	// Only the four independent outcomes are counted; the rest are
-	// derived once at the end (on this policy every request reads DRAM
-	// unless DDO elides it, every miss reads NVRAM and fills DRAM, and
-	// every dirty victim writes NVRAM).
-	var nW, nHit, nMissD, nDDO uint64
 	for off := 0; off < len(reqs); off += dispatchChunk {
 		chunk := reqs[off:]
 		if len(chunk) > dispatchChunk {
@@ -331,60 +315,27 @@ func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
 			touch += words[st.cset[k]]
 		}
 		st.touchSink += touch
-		// Heavy pass, in request order: probe, predicated counters and
-		// tag-word update, masked staging of the deferred NVRAM work.
-		var nf, nv int
+		// Heavy pass, in request order: probe, one table lookup, the
+		// tag-word update and masked staging of the deferred NVRAM work.
+		var nr, nw int
 		for k, r := range chunk {
 			a := uint64(r) &^ lineMask
 			set := st.cset[k]
 			tag := st.ctag[k]
 			chi := st.cchi[k] &^ chiWrite
-			isW := uint64(st.cchi[k] >> 31)
 			w := words[set]
-
-			// Probe outcome as 0/1 predicates. The packed-entry flag
-			// layout (EntryValid=1<<0, EntryDirty=1<<1,
-			// EntryLLCOwned=1<<2, tag above bit 8) is part of the cache
-			// package's exported word format: masking the dirty and
-			// owned bits off the resident word leaves exactly the valid
-			// tag image to compare against.
-			var hit, dv, ddo uint64
-			if w&^(cache.EntryDirty|cache.EntryLLCOwned) == cache.PackEntry(tag, cache.EntryValid) {
-				hit = 1
-			}
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				dv = 1 - hit // miss with valid dirty victim
-			}
-			miss := 1 - hit
-			ddo = isW & hit & (w >> 2) & 1
-
-			nW += isW
-			nHit += hit
-			nMissD += dv
-			nDDO += ddo
-			casR[chi] += 1 - ddo
-			casW[chi] += miss + isW
-
-			// Stage the miss's fill read and the dirty victim's
-			// writeback, in request order, through register cursors:
-			// the slot is stored unconditionally and abandoned when the
-			// cursor does not advance (the reconstructed victim address
-			// is garbage when dv is 0, and discarded the same way).
-			st.cfill[nf] = a
-			nf += int(miss)
-			va := (uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift
-			st.cvict[nv] = va
-			nv += int(dv)
-
-			// New entry word: a read hit gains the LLC-owned flag, a
-			// write hit gains dirty and drops owned, and a miss installs
-			// the incoming tag (owned for reads, dirty for writes).
-			addBits := cache.EntryLLCOwned - 2*isW // 4 on reads, 2 on writes
-			nw := cache.PackEntry(tag, cache.EntryValid|addBits)
-			if hit == 1 {
-				nw = (w | addBits) &^ (cache.EntryLLCOwned * isW)
-			}
-			words[set] = nw
+			t := &c.trans[outcome(uint64(st.cchi[k]>>31), hitBit(w, tag), w)]
+			c.commit(t.col, 1)
+			casR[chi] += t.casR
+			casW[chi] += t.casW
+			// The victim address is garbage when the word is invalid,
+			// and discarded with its slot when the cursor does not
+			// advance.
+			st.cread[nr] = a
+			nr += int(t.nvR)
+			st.cwrite[nw] = t.writeTarget(a, (uint64(cache.EntryTagOf(w))*sets+set)<<mem.LineShift)
+			nw += int(t.nvW)
+			words[set] = t.next(w, tag)
 		}
 		// Hand the staged work to the device model, still in request
 		// order per direction (reads and writes commute within a DIMM,
@@ -393,128 +344,20 @@ func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
 		// partitions into the per-DIMM queues applied after the batch,
 		// so the test can permute the apply order.
 		if c.scatShuffle == nil {
-			c.NVRAM.ReadBatch(st.cfill[:nf])
-			c.NVRAM.WriteBatch(st.cvict[:nv])
+			c.NVRAM.ReadBatch(st.cread[:nr])
+			c.NVRAM.WriteBatch(st.cwrite[:nw])
 		} else {
 			c.queueReserve(len(chunk))
-			for _, a := range st.cfill[:nf] {
+			for _, a := range st.cread[:nr] {
 				di := dimmDiv.Mod(a / nvram.InterleaveGranularity)
 				st.qbuf[di][st.qcur[di]] = a
 				st.qcur[di]++
 			}
-			for _, va := range st.cvict[:nv] {
+			for _, va := range st.cwrite[:nw] {
 				dj := uint64(nd) + dimmDiv.Mod(va/nvram.InterleaveGranularity)
 				st.qbuf[dj][st.qcur[dj]] = va
 				st.qcur[dj]++
 			}
-		}
-	}
-	nTotal := uint64(len(reqs))
-	nMiss := nTotal - nHit
-	d.LLCRead += nTotal - nW
-	d.LLCWrite += nW
-	d.DRAMRead += nTotal - nDDO
-	d.DRAMWrite += nMiss + nW
-	d.NVRAMRead += nMiss
-	d.NVRAMWrite += nMissD
-	d.TagHit += nHit
-	d.TagMissClean += nMiss - nMissD
-	d.TagMissDirty += nMissD
-	d.DDO += nDDO
-}
-
-// dispatchAblate is the dispatch loop for the direct-mapped (Ways==1)
-// tag store under the ablation policies. Requests run in order with
-// direct NVRAM calls (victim writeback before fill, exactly as the
-// per-line miss path issues them), so byte-identity is by construction;
-// the probe and every tag-state transition still fold into one load and
-// one store of the packed entry word. Ablations are off the headline
-// benchmark path, so this loop keeps the readable branchy form.
-func (c *Controller) dispatchAblate(d *Counters, words []uint64, reqs []Req) {
-	st := &c.scat
-	sets := c.sets
-	readAlloc := c.policy.ReadAllocate
-	writeAlloc := c.policy.WriteAllocate
-	ddoOK := !c.DisableDDO
-	casR, casW := st.casR, st.casW
-	for _, r := range reqs {
-		a := uint64(r) &^ lineMask
-		set, tag := c.Cache.Index(a)
-		chi := c.DRAM.ChannelIndex(a)
-		w := words[set]
-		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
-
-		if uint64(r)&reqWrite == 0 {
-			// Demand read: DRAM fetches tag and data together.
-			d.LLCRead++
-			d.DRAMRead++
-			casR[chi]++
-			switch {
-			case hit:
-				d.TagHit++
-				words[set] = w | cache.EntryLLCOwned
-			case !readAlloc:
-				// Ablation: forward from NVRAM without caching.
-				d.TagMissClean++
-				d.NVRAMRead++
-				c.NVRAM.Read(a)
-			default:
-				if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-					d.TagMissDirty++
-					d.NVRAMWrite++
-					c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-				} else {
-					d.TagMissClean++
-				}
-				d.NVRAMRead++
-				c.NVRAM.Read(a)
-				d.DRAMWrite++
-				casW[chi]++
-				words[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned)
-			}
-			continue
-		}
-
-		// LLC writeback.
-		d.LLCWrite++
-		switch {
-		case ddoOK && hit && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			casW[chi]++
-			words[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case hit:
-			// DRAM read purely for the tag check.
-			d.DRAMRead++
-			casR[chi]++
-			d.TagHit++
-			d.DRAMWrite++
-			casW[chi]++
-			words[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case !writeAlloc:
-			// Ablation: write-around straight to NVRAM.
-			d.DRAMRead++
-			casR[chi]++
-			d.TagMissClean++
-			d.NVRAMWrite++
-			c.NVRAM.Write(a)
-		default:
-			d.DRAMRead++
-			casR[chi]++
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			// Insert-on-miss, then the actual write of the line.
-			d.DRAMWrite += 2
-			casW[chi] += 2
-			words[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package imc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,36 +10,6 @@ import (
 	"twolm/internal/mem"
 	"twolm/internal/telemetry"
 )
-
-// scatterPolicies is the acceptance matrix of the batched dispatch:
-// every policy ablation crossed with direct-mapped (the branchless
-// dispatchHW / dispatchAblate loops) and 4-way associativity (the
-// serial fallback, which must stay byte-identical too).
-func scatterPolicies() map[string]Policy {
-	base := map[string]Policy{}
-	hw := HardwarePolicy()
-	base["hardware"] = hw
-	noWA := hw
-	noWA.WriteAllocate = false
-	base["no-write-allocate"] = noWA
-	noRA := hw
-	noRA.ReadAllocate = false
-	base["no-read-allocate"] = noRA
-	noDDO := hw
-	noDDO.DisableDDO = true
-	base["ddo-off"] = noDDO
-
-	out := map[string]Policy{}
-	for name, p := range base {
-		p1 := p
-		p1.Ways = 1
-		out[name+"-w1"] = p1
-		p4 := p
-		p4.Ways = 4
-		out[name+"-w4"] = p4
-	}
-	return out
-}
 
 // newScatterController builds one controller with the differential-run
 // geometry of newRangePair.
@@ -91,7 +62,8 @@ func replaySerial(c *Controller, reqs []Req) {
 // interface and media counters to per-line dispatch in request order,
 // for every policy ablation at Ways 1 and 4.
 func TestScatterMatchesPerLine(t *testing.T) {
-	for name, policy := range scatterPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := fmt.Sprintf("%s-w%d", pc.ablation, pc.ways), pc.policy
 		t.Run(name, func(t *testing.T) {
 			perLine, batched := newRangePair(t, policy)
 			spanLines := uint64(2*perLine.DRAM.Capacity()) / mem.Line
@@ -116,7 +88,8 @@ func TestScatterMatchesPerLine(t *testing.T) {
 // LLCReadScatter and LLCWriteScatter are byte-identical to per-line
 // LLCRead/LLCWrite in slice order.
 func TestScatterWrappersMatchPerLine(t *testing.T) {
-	for name, policy := range scatterPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := fmt.Sprintf("%s-w%d", pc.ablation, pc.ways), pc.policy
 		t.Run(name, func(t *testing.T) {
 			perLine, batched := newRangePair(t, policy)
 			spanLines := uint64(2*perLine.DRAM.Capacity()) / mem.Line
@@ -174,7 +147,8 @@ func TestScatterChunkBoundaries(t *testing.T) {
 // reference. (The serial-vs-sharded replay Recorder identity is pinned
 // separately by engine.TestTelemetrySerialVsSharded.)
 func TestScatterShuffleCommutes(t *testing.T) {
-	for name, policy := range scatterPolicies() {
+	for _, pc := range policyMatrix() {
+		name, policy := fmt.Sprintf("%s-w%d", pc.ablation, pc.ways), pc.policy
 		t.Run(name, func(t *testing.T) {
 			const every = 4096
 			run := func(shuffleSeed int64) (*Controller, []byte, []byte) {

@@ -14,23 +14,25 @@
 //	        victim writeback + fill + install + data write
 //
 // The fold therefore splits a range into predicated probe wraps (at
-// most two wraps for reads, one for writes) and a uniform remainder
-// committed arithmetically. A probe wrap commits runs: within a tag
-// segment, consecutive sets holding the same packed word take the same
-// outcome, so a run costs one word store per set plus bulk counter and
-// device calls, while an isolated set takes the per-set step. Prior
+// most two wraps for reads, one for writes) and a uniform remainder.
+// Every step looks up the controller's transition table (table.go). A
+// probe wrap commits runs: within a tag segment, consecutive sets
+// holding the same packed word take the same transition, so a run costs
+// one word store per set plus k × the transition's row in bulk counter
+// and device calls, while an isolated set takes the per-set step. Prior
 // state that a sequential pass left behind is a handful of long runs;
-// random state is mostly isolated sets. The remainder commits counters in
-// O(1), per-channel CAS through dram's range distributor, NVRAM media
-// through the ascending-run entry points, and the final tag state as a
-// bulk stamp of the last window of sets. The interleaved writeback+read
-// fold does the same for the eviction shadow a store stream drags
-// behind its demand reads. Fallbacks: associativity > 1 (no flat entry
-// array) and the no-allocate ablations take the per-line loops;
-// DisableDDO folds (it only changes which uniform write formula
-// applies). Legality is pinned by the differential and range-split
-// tests in seqfold_test.go — byte-identical counters, channel CAS,
-// NVRAM media counters, and final tag state versus per-line dispatch.
+// random state is mostly isolated sets. The remainder is one run of the
+// uniform transition: counters in O(1), per-channel CAS through dram's
+// range distributor, NVRAM media through the ascending-run entry
+// points, and the final tag state as a bulk stamp of the last window of
+// sets. The interleaved writeback+read fold does the same for the
+// eviction shadow a store stream drags behind its demand reads.
+// Fallbacks: associativity > 1 (no flat entry array) and the
+// no-allocate ablations take the per-line path; DisableDDO folds (it
+// only changes which transition the write hits take). Legality is
+// pinned by the differential and range-split tests in seqfold_test.go —
+// byte-identical counters, channel CAS, NVRAM media counters, and final
+// tag state versus per-line dispatch.
 
 package imc
 
@@ -43,12 +45,6 @@ import (
 // n > 0, entries is the flat Ways==1 tag array, and ReadAllocate holds.
 // The caller flushes telemetry.
 func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
-	var d Counters
-	d.LLCRead = n
-	// Every read costs one DRAM data+tag read, hit or miss.
-	d.DRAMRead = n
-	c.DRAM.ReadRange(addr, n)
-
 	sets := c.sets
 	rem := n
 	a := addr
@@ -59,7 +55,7 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 	// cannot hit (its tags are one carry past the tags it installed).
 	for rem > 0 {
 		w := min(rem, sets)
-		dirtyHits := c.readProbeWrap(entries, &d, a, w)
+		dirtyHits := c.probeWrap(entries, 0, a, w)
 		a += w * mem.Line
 		rem -= w
 		if dirtyHits == 0 {
@@ -67,75 +63,55 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 		}
 	}
 	// Uniform remainder: every line misses clean against this range's
-	// own install and refills.
+	// own install one set wrap back.
 	if rem > 0 {
-		d.TagMissClean += rem
-		d.NVRAMRead += rem
-		c.NVRAM.ReadLineRun(a, rem)
-		d.DRAMWrite += rem
-		c.DRAM.WriteRange(a, rem)
-		wlen := min(rem, sets)
-		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
-		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryLLCOwned)
+		t := &c.trans[outcome(0, 0, cache.EntryValid|cache.EntryLLCOwned)]
+		c.commitRun(t, c.DRAM.ChannelIndex(a), a, 0, rem)
+		c.stampTail(a, rem, t.set)
 	}
-	c.counters = c.counters.Add(d)
 }
 
-// readProbeWrap services n consecutive read lines (n <= sets) with
-// LLCRead's per-line semantics. Within a tag segment, consecutive sets
-// holding the same packed word take the same Table-I outcome, so a run
-// of them commits at once (commitRun); a set whose successor differs
-// takes the per-set step, so random or adversarial prior state costs
-// one packed-word load and store per set, as it always did. It reports
-// how many hits preserved a dirty bit — the condition for another
-// predicated wrap. The per-line DRAM data read is accounted by the
-// caller for the whole range.
-func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64) (dirtyHits uint64) {
+// stampTail stamps the final tag state of the uniform remainder of n
+// lines from a, whose every line installed with flags: the last set
+// wrap's lines.
+func (c *Controller) stampTail(a, n, flags uint64) {
+	wlen := min(n, c.sets)
+	ws, wt := c.Cache.Index(a + (n-wlen)*mem.Line)
+	c.Cache.StampSeqRun(ws, wt, wlen, flags)
+}
+
+// probeWrap services n consecutive lines (n <= sets) of one operation
+// (isW is 1 for writebacks) with the per-line path's semantics. Within
+// a tag segment, consecutive sets holding the same packed word take the
+// same transition, so a run of them commits at once (commitRun); a set
+// whose successor differs takes the per-set step, so random or
+// adversarial prior state costs one packed-word load and store per
+// set. It reports how many hits found the line dirty — for reads, the
+// condition for another predicated wrap.
+func (c *Controller) probeWrap(entries []uint64, isW, addr, n uint64) (dirtyHits uint64) {
 	sets := c.sets
 	set, tag := c.Cache.Index(addr)
 	chIdx := c.DRAM.ChannelIndex(addr)
 	a := addr
 	for n > 0 {
 		w := entries[set]
-		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
+		hit := hitBit(w, tag)
+		t := &c.trans[outcome(isW, hit, w)]
+		nw := t.next(w, tag)
+		victim := (uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift
 		limit := set + min(n, sets-set)
 		k := uint64(1)
-		switch {
-		case set+1 < limit && entries[set+1] == w:
-			var t runTraffic
-			if hit {
-				k = claimRun(entries, set, limit, w|cache.EntryLLCOwned)
-				d.TagHit += k
-				if w&cache.EntryDirty != 0 {
-					dirtyHits += k
-				}
-			} else {
-				k = claimRun(entries, set, limit, cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned))
-				// Fill from NVRAM, install into DRAM.
-				t = runTraffic{casWrites: 1, fill: true}
-			}
-			chIdx = c.commitRun(d, t, w, set, a, chIdx, k)
-		case hit:
-			d.TagHit++
-			entries[set] = w | cache.EntryLLCOwned
-			if w&cache.EntryDirty != 0 {
-				dirtyHits++
-			}
+		if set+1 < limit && entries[set+1] == w {
+			k = claimRun(entries, set, limit, nw)
+			chIdx = c.commitRun(t, chIdx, a, victim, k)
+		} else {
+			entries[set] = nw
+			c.commit(t.col, 1)
+			c.lineTraffic(t, chIdx, a, victim)
 			chIdx = c.nextChannel(chIdx)
-		default:
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			d.DRAMWrite++
-			c.DRAM.ChannelAt(chIdx).CASWrites++
-			entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned)
-			chIdx = c.nextChannel(chIdx)
+		}
+		if hit == 1 && w&cache.EntryDirty != 0 {
+			dirtyHits += k
 		}
 		n -= k
 		set += k
@@ -161,14 +137,6 @@ func claimRun(entries []uint64, set, limit, nw uint64) uint64 {
 	return i - set
 }
 
-// runTraffic is the device traffic every line of a probe run generates
-// besides its tag outcome.
-type runTraffic struct {
-	casReads  uint64 // DRAM CAS reads (the write tag check)
-	casWrites uint64 // DRAM CAS writes (fill install, data write)
-	fill      bool   // a tag miss: NVRAM fill, plus the victim writeback if dirty
-}
-
 // lineRunMin is the shortest run committed through the device layers'
 // bulk entry points. Those pay a fixed cost per call (a channel sweep,
 // an interleave-chunk step, the XPBuffer bound scan), so shorter runs —
@@ -176,58 +144,35 @@ type runTraffic struct {
 // per-line device calls as the per-set walk always did.
 const lineRunMin = 8
 
-// commitRun commits the traffic t of a run of k lines from a (the
-// first on DRAM channel chIdx) over the sets from set, which held the
-// packed word w: counters, DRAM CAS and NVRAM, and for a miss the
-// clean/dirty classification and the victims' writeback — the run's
-// victims share w's tag, so they are k consecutive lines. NVRAM
-// traffic keeps its per-direction ascending order. It returns the
+// commitRun commits k lines of transition t from line (the first on
+// DRAM channel chIdx) whose victims, if any, are the k consecutive
+// lines from victim: k × t's row of counters, DRAM CAS and NVRAM, with
+// NVRAM traffic in per-direction ascending order. It returns the
 // channel of the line after the run.
-func (c *Controller) commitRun(d *Counters, t runTraffic, w, set, a uint64, chIdx int, k uint64) int {
-	d.DRAMRead += t.casReads * k
-	d.DRAMWrite += t.casWrites * k
-	writeback := false
-	if t.fill {
-		d.NVRAMRead += k
-		if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-			d.TagMissDirty += k
-			d.NVRAMWrite += k
-			writeback = true
-		} else {
-			d.TagMissClean += k
-		}
-	}
-	victim := (uint64(cache.EntryTagOf(w))*c.sets + set) << mem.LineShift
+func (c *Controller) commitRun(t *transition, chIdx int, line, victim, k uint64) int {
+	c.commit(t.col, k)
 	if k < lineRunMin {
 		for ; k > 0; k-- {
-			ch := c.DRAM.ChannelAt(chIdx)
-			ch.CASReads += t.casReads
-			ch.CASWrites += t.casWrites
-			if writeback {
-				c.NVRAM.Write(victim)
-				victim += mem.Line
-			}
-			if t.fill {
-				c.NVRAM.Read(a)
-			}
-			a += mem.Line
+			c.lineTraffic(t, chIdx, line, victim)
+			line += mem.Line
+			victim += mem.Line
 			chIdx = c.nextChannel(chIdx)
 		}
 		return chIdx
 	}
-	if writeback {
-		c.NVRAM.WriteLineRun(victim, k)
+	if t.nvW != 0 {
+		c.NVRAM.WriteLineRun(t.writeTarget(line, victim), k)
 	}
-	if t.fill {
-		c.NVRAM.ReadLineRun(a, k)
+	if t.nvR != 0 {
+		c.NVRAM.ReadLineRun(line, k)
 	}
-	for i := uint64(0); i < t.casReads; i++ {
-		c.DRAM.ReadRange(a, k)
+	for i := uint64(0); i < t.casR; i++ {
+		c.DRAM.ReadRange(line, k)
 	}
-	for i := uint64(0); i < t.casWrites; i++ {
-		c.DRAM.WriteRange(a, k)
+	for i := uint64(0); i < t.casW; i++ {
+		c.DRAM.WriteRange(line, k)
 	}
-	return c.DRAM.ChannelIndex(a + k<<mem.LineShift)
+	return c.DRAM.ChannelIndex(line + k<<mem.LineShift)
 }
 
 // nextChannel returns the DRAM channel index after chIdx.
@@ -243,111 +188,16 @@ func (c *Controller) nextChannel(chIdx int) int {
 // n > 0, entries is the flat Ways==1 tag array, and WriteAllocate holds
 // (DisableDDO folds). The caller flushes telemetry.
 func (c *Controller) seqWriteRange(entries []uint64, addr, n uint64) {
-	var d Counters
-	d.LLCWrite = n
-
-	sets := c.sets
-	// One probe wrap reaches the fixed point: every write branch leaves
-	// its set valid and dirty with this wrap's tag, so the next wrap
-	// always takes the dirty-miss path.
-	head := min(n, sets)
-	c.writeProbeWrap(entries, &d, addr, head)
-	rem := n - head
-	if rem > 0 {
+	// One probe wrap reaches the fixed point: every write leaves its set
+	// valid and dirty with this wrap's tag, so the next wrap always
+	// misses dirty against the line one set wrap back.
+	head := min(n, c.sets)
+	c.probeWrap(entries, 1, addr, head)
+	if rem := n - head; rem > 0 {
 		a := addr + head*mem.Line
-		// Tag-check read, then: victim writeback of the line one wrap
-		// back, fill, install, and the data write.
-		d.DRAMRead += rem
-		c.DRAM.ReadRange(a, rem)
-		d.TagMissDirty += rem
-		d.NVRAMWrite += rem
-		c.NVRAM.WriteLineRun(a-sets*mem.Line, rem)
-		d.NVRAMRead += rem
-		c.NVRAM.ReadLineRun(a, rem)
-		d.DRAMWrite += 2 * rem
-		c.DRAM.WriteRange(a, rem)
-		c.DRAM.WriteRange(a, rem)
-		wlen := min(rem, sets)
-		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
-		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryDirty)
-	}
-	c.counters = c.counters.Add(d)
-}
-
-// writeProbeWrap services n consecutive writeback lines (n <= sets)
-// with LLCWrite's per-line semantics, committing runs of identical
-// packed words at once and isolated sets per set, like readProbeWrap.
-func (c *Controller) writeProbeWrap(entries []uint64, d *Counters, addr, n uint64) {
-	sets := c.sets
-	set, tag := c.Cache.Index(addr)
-	chIdx := c.DRAM.ChannelIndex(addr)
-	a := addr
-	for n > 0 {
-		w := entries[set]
-		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
-		ddo := hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0
-		limit := set + min(n, sets-set)
-		k := uint64(1)
-		if set+1 < limit && entries[set+1] == w {
-			var t runTraffic
-			switch {
-			case ddo:
-				k = claimRun(entries, set, limit, (w|cache.EntryDirty)&^cache.EntryLLCOwned)
-				d.DDO += k
-				d.TagHit += k
-				t = runTraffic{casWrites: 1}
-			case hit:
-				k = claimRun(entries, set, limit, (w|cache.EntryDirty)&^cache.EntryLLCOwned)
-				d.TagHit += k
-				// DRAM read purely for the tag check, then the data write.
-				t = runTraffic{casReads: 1, casWrites: 1}
-			default:
-				k = claimRun(entries, set, limit, cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty))
-				// Tag-check read; fill write, then the data write of the
-				// incoming line.
-				t = runTraffic{casReads: 1, casWrites: 2, fill: true}
-			}
-			chIdx = c.commitRun(d, t, w, set, a, chIdx, k)
-		} else {
-			ch := c.DRAM.ChannelAt(chIdx)
-			switch {
-			case ddo:
-				d.DDO++
-				d.TagHit++
-				d.DRAMWrite++
-				ch.CASWrites++
-				entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-			case hit:
-				d.DRAMRead++
-				ch.CASReads++
-				d.TagHit++
-				d.DRAMWrite++
-				ch.CASWrites++
-				entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-			default:
-				d.DRAMRead++
-				ch.CASReads++
-				if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-					d.TagMissDirty++
-					d.NVRAMWrite++
-					c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-				} else {
-					d.TagMissClean++
-				}
-				d.NVRAMRead++
-				c.NVRAM.Read(a)
-				d.DRAMWrite += 2
-				ch.CASWrites += 2
-				entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
-			}
-			chIdx = c.nextChannel(chIdx)
-		}
-		n -= k
-		set += k
-		if set == sets {
-			set, tag = 0, tag+1
-		}
-		a += k << mem.LineShift
+		t := &c.trans[outcome(1, 0, cache.EntryValid|cache.EntryDirty)]
+		c.commitRun(t, c.DRAM.ChannelIndex(a), a, a-c.sets*mem.Line, rem)
+		c.stampTail(a, rem, t.set)
 	}
 }
 
@@ -386,44 +236,23 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 		return
 	}
 
-	var d Counters
-	d.LLCWrite = n
-	d.LLCRead = n
-	// Every read costs one DRAM data+tag read, hit or miss.
-	d.DRAMRead = n
-	c.DRAM.ReadRange(raddr, n)
-
 	sets := c.sets
 	head := min(n, sets)
-	c.pairProbeWrap(entries, &d, waddr, raddr, lag, head)
+	c.pairProbeWrap(entries, waddr, raddr, lag, head)
 	// Write stream past the first lag pairs, inside the probe wrap and
-	// beyond it: every write hits the line its paired read installed
-	// lag pairs earlier and the LLC still owns.
+	// beyond it: every write hits the clean line its paired read
+	// installed lag pairs earlier and the LLC still owns.
 	if n > lag {
-		wn := n - lag
 		wa := waddr + lag*mem.Line
-		d.TagHit += wn
-		if c.DisableDDO {
-			d.DRAMRead += wn
-			c.DRAM.ReadRange(wa, wn)
-		} else {
-			d.DDO += wn
-		}
-		d.DRAMWrite += wn
-		c.DRAM.WriteRange(wa, wn)
+		t := &c.trans[outcome(1, 1, cache.EntryValid|cache.EntryLLCOwned)]
+		c.commitRun(t, c.DRAM.ChannelIndex(wa), wa, 0, n-lag)
 	}
-	rem := n - head
-	if rem > 0 {
-		ra := raddr + head*mem.Line
+	if rem := n - head; rem > 0 {
 		// Read stream: every probe evicts the dirty line installed one
 		// set wrap back, writes it back, refills, and reinstalls.
-		d.TagMissDirty += rem
-		d.NVRAMWrite += rem
-		c.NVRAM.WriteLineRun(ra-sets*mem.Line, rem)
-		d.NVRAMRead += rem
-		c.NVRAM.ReadLineRun(ra, rem)
-		d.DRAMWrite += rem
-		c.DRAM.WriteRange(ra, rem)
+		ra := raddr + head*mem.Line
+		t := &c.trans[outcome(0, 0, cache.EntryValid|cache.EntryDirty)]
+		c.commitRun(t, c.DRAM.ChannelIndex(ra), ra, ra-sets*mem.Line, rem)
 		// Final tag state. A set's last toucher is the read stream when
 		// no write follows it (the trailing lag pairs), the write
 		// stream when no read revisits the set (the trailing sets-lag
@@ -437,7 +266,6 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 		sr, tr := c.Cache.Index(raddr + (n-gr)*mem.Line)
 		c.Cache.StampSeqRun(sr, tr, gr, cache.EntryValid|cache.EntryLLCOwned)
 	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -452,26 +280,23 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 //  1. The first min(n, lag) pairs run per line, interleaved. Their
 //     writes touch lines this range never reads, whose sets the read
 //     stream reaches only at the end of the wrap.
-//  2. The remaining reads go through the run-length read probe. No
+//  2. The remaining reads go through the run-length probe wrap. No
 //     write after step 1 shares a set with a read of this wrap.
 //  3. The remaining writes each hit the line their paired read
 //     installed lag pairs earlier, so their sets are stamped
 //     Valid|Dirty. They generate no NVRAM traffic, so committing them
 //     after the reads leaves device order unchanged; the caller counts
 //     them with the rest of the range's write stream.
-//
-// The read stream's per-line DRAM data read is accounted by the caller
-// for the whole range.
-func (c *Controller) pairProbeWrap(entries []uint64, d *Counters, waddr, raddr, lag, n uint64) {
+func (c *Controller) pairProbeWrap(entries []uint64, waddr, raddr, lag, n uint64) {
 	head := min(n, lag)
 	for i := uint64(0); i < head; i++ {
-		c.writeProbeWrap(entries, d, waddr+i*mem.Line, 1)
-		c.readProbeWrap(entries, d, raddr+i*mem.Line, 1)
+		c.probeWrap(entries, 1, waddr+i*mem.Line, 1)
+		c.probeWrap(entries, 0, raddr+i*mem.Line, 1)
 	}
 	if n == head {
 		return
 	}
-	c.readProbeWrap(entries, d, raddr+head*mem.Line, n-head)
+	c.probeWrap(entries, 0, raddr+head*mem.Line, n-head)
 	ws, wt := c.Cache.Index(waddr + head*mem.Line)
 	c.Cache.StampSeqRun(ws, wt, n-head, cache.EntryValid|cache.EntryDirty)
 }

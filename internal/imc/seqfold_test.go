@@ -33,27 +33,15 @@ func newFoldPair(t *testing.T, policy Policy) (perLine, batched *Controller) {
 
 // assertSameTagState asserts the two controllers' tag stores are in
 // identical final states — the part of the fold the counter comparison
-// cannot see (a wrong bulk stamp only shows up in later traffic).
+// cannot see (a wrong bulk stamp only shows up in later traffic). It
+// compares every packed word, at any associativity.
 func assertSameTagState(t *testing.T, label string, perLine, batched *Controller) {
 	t.Helper()
-	a, b := perLine.Cache.DirectEntries(), batched.Cache.DirectEntries()
-	if a == nil || b == nil {
-		if (a == nil) != (b == nil) {
-			t.Fatalf("%s: layout diverges: per-line direct=%v, batched direct=%v", label, a != nil, b != nil)
-		}
-		// Ways > 1: the fold never engages; spot-check the aggregates.
-		if x, y := perLine.Cache.DirtyLines(), batched.Cache.DirtyLines(); x != y {
-			t.Errorf("%s: dirty lines diverge: per-line %d, batched %d", label, x, y)
-		}
-		if x, y := perLine.Cache.ValidLines(), batched.Cache.ValidLines(); x != y {
-			t.Errorf("%s: valid lines diverge: per-line %d, batched %d", label, x, y)
-		}
-		return
-	}
-	for set := range a {
-		if a[set] != b[set] {
-			t.Fatalf("%s: tag state diverges at set %d: per-line %#x, batched %#x",
-				label, set, a[set], b[set])
+	a, b := perLine.Cache.Entries(), batched.Cache.Entries()
+	for h := range a {
+		if a[h] != b[h] {
+			t.Fatalf("%s: tag state diverges at entry %d: per-line %#x, batched %#x",
+				label, h, a[h], b[h])
 		}
 	}
 }
@@ -159,8 +147,9 @@ func primeStriped(c *Controller, sets uint64) {
 // demands byte-identical traffic and final tag state versus per-line
 // dispatch.
 func TestSeqFoldLongRanges(t *testing.T) {
-	for name, policy := range rangeTestPolicies() {
-		t.Run(name, func(t *testing.T) {
+	for _, pc := range policyMatrix() {
+		policy := pc.policy
+		t.Run(pc.rangeName(), func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
 			sets := probe.Cache.Sets()
 			for pname, prime := range foldPrimings(sets) {
@@ -198,8 +187,9 @@ func TestSeqFoldLongRanges(t *testing.T) {
 // the reads at the end of the probe wrap reach the sets the head's
 // per-line writes touched.
 func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
-	for name, policy := range rangeTestPolicies() {
-		t.Run(name, func(t *testing.T) {
+	for _, pc := range policyMatrix() {
+		policy := pc.policy
+		t.Run(pc.rangeName(), func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
 			sets := probe.Cache.Sets()
 			lags := []uint64{1, 7, foldLag, sets / 2, sets - 1, sets, sets + 5}
@@ -245,8 +235,9 @@ func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
 // window) cannot leak into the results. Read, write and writeback+read
 // ranges are each split, from every priming.
 func TestRangeSplitCommutes(t *testing.T) {
-	for name, policy := range rangeTestPolicies() {
-		t.Run(name, func(t *testing.T) {
+	for _, pc := range policyMatrix() {
+		policy := pc.policy
+		t.Run(pc.rangeName(), func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
 			sets := probe.Cache.Sets()
 			n := 3*sets + 311
