@@ -1,50 +1,90 @@
+// The graphsim binary was folded into cmd/repro: the graph study runs
+// as `repro -experiment graph_study`, with its geometry taken from
+// engine.DefaultSuiteConfig. This package holds no program, only these
+// tests, which pin that replacement: repro accepts the shared flags
+// graphsim had, the selector picks exactly the graph study, -quick
+// still shrinks its whole geometry, and malformed shared flags are
+// rejected before any job runs.
 package main
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"twolm/internal/engine"
 )
 
-// TestFlagSurface pins the shared runcfg flag set on graphsim: every
-// suite-wide flag — including -metrics-addr — parses into the Common
-// block, the bespoke geometry knobs work beside them, and -quick
-// overrides the whole geometry in the resolved configuration.
-func TestFlagSurface(t *testing.T) {
-	o, err := parseFlags("graphsim-test", []string{
-		"-out", "artifacts",
-		"-scale", "2048",
-		"-parallel", "3",
-		"-channels", "4",
-		"-metrics-addr", "127.0.0.1:0",
-		"-small-scale", "15",
-		"-large-scale", "20",
-		"-pr-rounds", "7",
-	})
+// selector is the -experiment expression that replaces graphsim.
+const selector = "graph_study"
+
+// reproBin is cmd/repro, built once for this package's tests.
+var reproBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "graphsim-test")
 	if err != nil {
-		t.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if o.rc.Out != "artifacts" || o.rc.Scale != 2048 || o.rc.Parallel != 3 ||
-		o.rc.Channels != 4 || o.rc.MetricsAddr != "127.0.0.1:0" {
-		t.Errorf("shared flags misparsed: %+v", o.rc)
+	reproBin = filepath.Join(dir, "repro")
+	build := exec.Command("go", "build", "-o", reproBin, "twolm/cmd/repro")
+	if out, err := build.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build twolm/cmd/repro: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
 	}
-	cfg := o.config()
-	if cfg.Scale != 2048 || cfg.SmallScale != 15 || cfg.LargeScale != 20 || cfg.PRRounds != 7 {
-		t.Errorf("geometry flags misparsed: %+v", cfg)
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// repro runs the built binary and returns its combined output.
+func repro(args ...string) (string, error) {
+	out, err := exec.Command(reproBin, args...).CombinedOutput()
+	return string(out), err
+}
+
+// TestFlagSurface pins that repro carries every shared flag graphsim
+// had, that the selector picks exactly the graph study's suite job,
+// and that the suite configuration holds the geometry graphsim's
+// -small-scale/-large-scale/-pr-rounds defaults and -quick gave.
+func TestFlagSurface(t *testing.T) {
+	help, _ := repro("-h")
+	for _, f := range []string{"-out", "-scale", "-quick", "-parallel", "-channels", "-metrics-addr", "-experiment"} {
+		if !regexp.MustCompile(`(?m)^  ` + f + `( |$)`).MatchString(help) {
+			t.Errorf("repro -h does not list %s:\n%s", f, help)
+		}
 	}
 
-	quick, err := parseFlags("graphsim-test", []string{"-scale", "64", "-quick"})
-	if err != nil {
-		t.Fatal(err)
+	re := regexp.MustCompile(selector)
+	var got []string
+	for _, j := range engine.Suite(engine.DefaultSuiteConfig(1024, true)) {
+		if re.MatchString(j.Name) {
+			got = append(got, j.Name)
+		}
 	}
-	qcfg := quick.config()
-	if qcfg.Scale != 16384 || qcfg.SmallScale != 14 || qcfg.LargeScale != 19 || qcfg.PRRounds != 3 {
-		t.Errorf("-quick geometry = %+v, want the sanity-pass shape", qcfg)
+	if len(got) != 1 || got[0] != "graph_study" {
+		t.Errorf("-experiment %q selects %v, want [graph_study]", selector, got)
+	}
+
+	full := engine.DefaultSuiteConfig(2048, false).Graph
+	if full.SmallScale != 18 || full.LargeScale != 21 || full.PRRounds != 5 {
+		t.Errorf("full graph geometry = %+v, want small 18, large 21, 5 PageRank rounds", full)
+	}
+	quick := engine.DefaultSuiteConfig(64, true).Graph
+	if quick.Scale != 16384 || quick.SmallScale != 14 || quick.LargeScale != 19 || quick.PRRounds != 3 {
+		t.Errorf("-quick graph geometry = %+v, want the sanity-pass shape", quick)
 	}
 }
 
-// TestFlagValidation pins that malformed shared flags are rejected by
-// the same runcfg validation every binary uses, before any study work
-// starts.
+// TestFlagValidation pins that malformed shared flags on the graph
+// command line are rejected by runcfg validation before any job runs:
+// the output directory is never created.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,13 +96,13 @@ func TestFlagValidation(t *testing.T) {
 		{"bad-channels", []string{"-channels", "-2"}, "-channels"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			o, err := parseFlags("graphsim-test", tc.args)
-			if err != nil {
-				t.Fatal(err)
+			out := filepath.Join(t.TempDir(), "out")
+			msg, err := repro(append([]string{"-out", out, "-experiment", selector}, tc.args...)...)
+			if err == nil || !strings.Contains(msg, tc.want) {
+				t.Errorf("repro %v = %v, %q; want failure containing %q", tc.args, err, msg, tc.want)
 			}
-			err = run(o.config(), o.rc)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("repro %v created %s before failing", tc.args, out)
 			}
 		})
 	}

@@ -5,12 +5,13 @@
 // Usage:
 //
 //	nvsweep [-spec grid.json] [-out results] [-quick] [-parallel N]
-//	        [-channels N] [-scale 1024] [-metrics-addr host:port]
+//	        [-channels N] [-metrics-addr host:port]
 //
 // Without -spec, the built-in default grid (cache size x
 // associativity x all four policy ablations x channels x DRAM:NVRAM
 // ratio x stream pattern) runs; -quick substitutes the small CI smoke
-// grid. A -spec file is the JSON form of sweep.Spec:
+// grid. A -spec file is the JSON form of sweep.Spec, decoded strictly
+// (a misspelled axis or trailing data is an error):
 //
 //	{
 //	  "cache_kib": [256, 512, 1024],
@@ -27,11 +28,11 @@
 //
 // -channels substitutes the flag value for the spec's channel axis
 // when the spec leaves it empty (the built-in grids pin their own).
-// -scale is accepted for shared-flag-surface compatibility but does
-// not shape sweep geometry — that is the spec's job. -metrics-addr
-// serves sweep_points_total / sweep_points_completed progress gauges
-// plus one labeled counter sample per completed point at
-// /metrics.
+// Footprints are the spec's job (its sample_lines axis), so nvsweep
+// has no -scale; a versioned jobspec file runs through repro -job.
+// -metrics-addr serves sweep_points_total / sweep_points_completed
+// progress gauges plus one labeled counter sample per completed point
+// at /metrics.
 package main
 
 import (
@@ -45,45 +46,34 @@ import (
 	"time"
 
 	"twolm/internal/engine"
-	"twolm/internal/jobspec"
 	"twolm/internal/runcfg"
 	"twolm/internal/sweep"
 )
 
-func main() {
+// parseFlags builds the nvsweep flag set over args (the arguments
+// after the program name), returning the shared options and the -spec
+// path.
+func parseFlags(name string, args []string) (runcfg.Common, string, error) {
 	rc := runcfg.Defaults()
-	rc.Register(flag.CommandLine)
-	rc.RegisterJob(flag.CommandLine)
-	specPath := flag.String("spec", "", "JSON sweep spec file (default: built-in grid)")
-	flag.Parse()
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	rc.Register(fs)
+	rc.RegisterWorkers(fs)
+	specPath := fs.String("spec", "", "JSON sweep spec file (default: built-in grid)")
+	err := fs.Parse(args)
+	return rc, *specPath, err
+}
 
-	if err := run(rc, *specPath); err != nil {
+func main() {
+	rc, specPath, err := parseFlags("nvsweep", os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
+	if err := run(rc, specPath); err != nil {
 		fmt.Fprintln(os.Stderr, "nvsweep:", err)
 		os.Exit(1)
 	}
-}
-
-// runJob executes one declared jobspec through the shared
-// sweep.RunJob path, so the job_results artifacts under -out are
-// byte-identical to cmd/repro -job and a simd POST of the same file.
-func runJob(rc runcfg.Common, js *jobspec.Spec) error {
-	ctx := context.Background()
-	if d := js.Timeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	start := time.Now()
-	res, err := sweep.RunJob(ctx, *js, rc.Parallel, nil)
-	if err != nil {
-		return err
-	}
-	if err := res.Write(rc.Out); err != nil {
-		return err
-	}
-	fmt.Printf("job %q: %d points, %d demand lines, artifacts in %s (%s)\n",
-		res.Spec.Name, len(res.Rows), res.Lines, rc.Out, time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // loadSpec resolves the sweep spec: an explicit -spec file wins, then
@@ -94,12 +84,21 @@ func loadSpec(rc runcfg.Common, specPath string) (sweep.Spec, error) {
 	var spec sweep.Spec
 	switch {
 	case specPath != "":
-		data, err := os.ReadFile(specPath)
+		f, err := os.Open(specPath)
 		if err != nil {
 			return spec, err
 		}
-		if err := json.Unmarshal(data, &spec); err != nil {
+		defer f.Close()
+		// Strict, like jobspec.Decode: a misspelled axis must fail, not
+		// silently run the axis's default. Any token after the document
+		// is trailing data, a stray closing bracket included.
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			return spec, fmt.Errorf("%s: %w", specPath, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return spec, fmt.Errorf("%s: trailing data after the sweep spec", specPath)
 		}
 	case rc.Quick:
 		spec = sweep.QuickSpec()
@@ -115,11 +114,6 @@ func loadSpec(rc runcfg.Common, specPath string) (sweep.Spec, error) {
 func run(rc runcfg.Common, specPath string) error {
 	if err := rc.Validate(); err != nil {
 		return err
-	}
-	if js, err := rc.LoadJob(); err != nil {
-		return err
-	} else if js != nil {
-		return runJob(rc, js)
 	}
 	prom, err := rc.Metrics()
 	if err != nil {

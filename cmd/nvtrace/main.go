@@ -16,15 +16,14 @@
 //	nvtrace -replay trace.bin -no-ddo         # DDO ablation
 //	nvtrace -replay trace.bin -ways 4         # associativity ablation
 //
-// nvtrace accepts the full shared flag surface of the suite binaries
-// (internal/runcfg): -scale and -quick size the modeled footprint,
-// -out writes the replay's counter summary and sampled telemetry
-// series as artifacts into the given directory, and -metrics-addr
-// serves live counters in Prometheus exposition format at /metrics,
-// sampled every 64Ki demand lines. -parallel and -channels are
-// accepted for interface uniformity; trace replay is inherently
-// serial (operation order is the whole point), so they only pass
-// validation.
+// nvtrace shares the suite binaries' flags (internal/runcfg) that it
+// reads: -scale and -quick size the modeled footprint, -out writes the
+// replay's counter summary and sampled telemetry series as artifacts
+// into the given directory, and -metrics-addr serves live counters in
+// Prometheus exposition format at /metrics, sampled every 64Ki demand
+// lines. Trace replay is inherently serial (operation order is the
+// whole point) on the platform's own channel layout, so nvtrace has no
+// -parallel or -channels.
 package main
 
 import (
@@ -71,6 +70,7 @@ func parseFlags(name string, args []string) (*options, error) {
 	o.rc.Out = "" // artifacts are optional; print-only by default
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	o.rc.Register(fs)
+	o.rc.RegisterScale(fs)
 	fs.StringVar(&o.record, "record", "", "record a kernel trace to this file")
 	fs.StringVar(&o.replay, "replay", "", "replay a trace from this file")
 	fs.StringVar(&o.op, "op", "read", "kernel for -record: read, write, rmw")

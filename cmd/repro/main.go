@@ -1,10 +1,13 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation in one run and writes the artifacts — rendered text
-// tables, CSV data and trace files — into a results directory.
+// Command repro regenerates the tables and figures of the paper's
+// evaluation and writes the artifacts — rendered text tables, CSV data
+// and trace files — into a results directory. It is the one
+// reproduction front end: every experiment is an engine.Suite job, and
+// -experiment selects which of them run.
 //
 // Usage:
 //
 //	repro [-out results] [-scale 1024] [-quick] [-parallel N] [-channels N]
+//	      [-experiment regexp] [-job spec.json]
 //	      [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]
 //
 // -quick shrinks footprints (scale 8192, smaller graphs) for a fast
@@ -16,11 +19,25 @@
 // sets the IMC channel count of the multichannel sharding self-check
 // (default 6, the Cascade Lake socket).
 //
+// -experiment runs only the jobs whose names match the unanchored
+// regular expression, like go test -run; the simulator-throughput
+// measurement counts as the job "throughput". Empty (the default) runs
+// everything. A selected job writes the same bytes it writes in a full
+// run. For example:
+//
+//	repro -experiment 'fig2|table1|fig4'          # microbenchmarks
+//	repro -experiment 'fig5|fig6|fig10|table2'    # CNN case study
+//	repro -experiment graph_study                 # graph case study
+//
+// -job runs one versioned jobspec file instead (see internal/jobspec),
+// writing the job_results artifacts cmd/simd serves for the same file.
+//
 // -metrics-addr serves the run live in Prometheus text exposition
 // format at http://host:port/metrics: job-completion progress gauges,
-// the multichannel scenarios' counter samples, and the throughput
-// measurement's bandwidth samples. Independent of the endpoint, the
-// throughput measurement always records a deterministic demand-indexed
+// the multichannel scenarios' counter samples, every counter-series
+// artifact under its artifact name, and the throughput measurement's
+// bandwidth samples. Independent of the endpoint, the throughput
+// measurement, whenever it runs, records a deterministic demand-indexed
 // bandwidth trace to telemetry_throughput_trace.{csv,json} in the
 // output directory.
 //
@@ -36,8 +53,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"twolm/internal/engine"
@@ -47,46 +66,105 @@ import (
 	"twolm/internal/telemetry"
 )
 
-func main() {
-	rc := runcfg.Defaults()
-	rc.Register(flag.CommandLine)
-	rc.RegisterJob(flag.CommandLine)
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// throughputJob is the name -experiment matches to select the
+// simulator-throughput measurement, which runs after the suite jobs.
+const throughputJob = "throughput"
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+// options is the parsed flag surface. Split from main so the parse
+// and run logic is testable without exec-ing the binary.
+type options struct {
+	rc         runcfg.Common
+	experiment string
+	cpuprofile string
+	memprofile string
+}
+
+// parseFlags builds the repro flag set over args (the arguments after
+// the program name) and returns the parsed options.
+func parseFlags(name string, args []string) (*options, error) {
+	o := &options{rc: runcfg.Defaults()}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	o.rc.Register(fs)
+	o.rc.RegisterScale(fs)
+	o.rc.RegisterWorkers(fs)
+	o.rc.RegisterJob(fs)
+	fs.StringVar(&o.experiment, "experiment", "",
+		"run only the jobs whose names match this regexp (\"throughput\" selects the throughput measurement); empty runs all")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	return o, nil
+}
 
-	if err := run(rc); err != nil {
+func main() {
+	o, err := parseFlags("repro", os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
+	if err := o.profiled(); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
+}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+// profiled runs the reproduction under the requested pprof profiles.
+func (o *options) profiled() error {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if err := o.run(); err != nil {
+		return err
+	}
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
+		if err != nil {
+			return err
 		}
 		defer f.Close()
 		runtime.GC() // settle the heap so the profile shows live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
+		return pprof.WriteHeapProfile(f)
 	}
+	return nil
+}
+
+// selectJobs keeps the jobs whose names match the -experiment regexp,
+// in suite order, and reports whether the throughput measurement is
+// selected too. An empty expression selects everything; an invalid
+// one, or one that selects nothing, is an error.
+func selectJobs(jobs []engine.Job, expr string) ([]engine.Job, bool, error) {
+	if expr == "" {
+		return jobs, true, nil
+	}
+	re, err := regexp.Compile(expr)
+	if err != nil {
+		return nil, false, fmt.Errorf("-experiment: %w", err)
+	}
+	var sel []engine.Job
+	names := make([]string, 0, len(jobs)+1)
+	for _, j := range jobs {
+		if re.MatchString(j.Name) {
+			sel = append(sel, j)
+		}
+		names = append(names, j.Name)
+	}
+	throughput := re.MatchString(throughputJob)
+	if len(sel) == 0 && !throughput {
+		return nil, false, fmt.Errorf("-experiment %q matches no job; jobs are %s",
+			expr, strings.Join(append(names, throughputJob), ", "))
+	}
+	return sel, throughput, nil
 }
 
 // writeArtifact persists one artifact by payload type: tables as
@@ -122,12 +200,13 @@ func writeArtifact(dir string, a engine.Artifact) error {
 	return nil
 }
 
-// run executes the suite on the worker pool and writes artifacts in
-// job order, so the report reads identically at any worker count.
-// With -job it instead executes the one declared jobspec through the
-// same shared path cmd/nvsweep and cmd/simd use, writing the
+// run executes the selected suite jobs on the worker pool and writes
+// artifacts in job order, so the report reads identically at any
+// worker count. With -job it instead executes the one declared
+// jobspec through the same shared path cmd/simd uses, writing the
 // byte-identical job_results artifacts.
-func run(rc runcfg.Common) error {
+func (o *options) run() error {
+	rc := &o.rc
 	// Reject bad input up front: the pool reports job errors only after
 	// the whole suite drains, which is the wrong place to learn about a
 	// typo in a flag.
@@ -137,9 +216,23 @@ func run(rc runcfg.Common) error {
 	if js, err := rc.LoadJob(); err != nil {
 		return err
 	} else if js != nil {
-		return runJob(rc, js)
+		return runJob(*rc, js)
 	}
 	prom, err := rc.Metrics()
+	if err != nil {
+		return err
+	}
+
+	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
+	cfg.Multi.Channels = rc.Channels
+	if prom != nil {
+		// The sharding self-check publishes each scenario's samples
+		// under its scenario name; Prom locks internally, so it is safe
+		// to share across parallel jobs.
+		cfg.Multi.Telemetry = prom
+		cfg.Multi.SampleEvery = 4096
+	}
+	jobs, throughput, err := selectJobs(engine.Suite(cfg), o.experiment)
 	if err != nil {
 		return err
 	}
@@ -151,16 +244,6 @@ func run(rc runcfg.Common) error {
 	}
 	start := time.Now()
 
-	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
-	cfg.Multi.Channels = rc.Channels
-	if prom != nil {
-		// The sharding self-check publishes each scenario's samples
-		// under its scenario name; Prom locks internally, so it is safe
-		// to share across parallel jobs.
-		cfg.Multi.Telemetry = prom
-		cfg.Multi.SampleEvery = 4096
-	}
-	jobs := engine.Suite(cfg)
 	if rc.Parallel > 1 {
 		fmt.Printf("running %d experiments on %d workers\n", len(jobs), rc.Parallel)
 	}
@@ -173,29 +256,48 @@ func run(rc runcfg.Common) error {
 	}
 	outs := engine.RunJobsObserved(context.Background(), jobs, rc.Parallel, observe)
 
-	for _, o := range outs {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.Job, o.Err)
+	for _, out := range outs {
+		if out.Err != nil {
+			return fmt.Errorf("%s: %w", out.Job, out.Err)
 		}
-		for _, a := range o.Artifacts {
+		for _, a := range out.Artifacts {
 			if err := writeArtifact(rc.Out, a); err != nil {
-				return fmt.Errorf("%s: %w", o.Job, err)
+				return fmt.Errorf("%s: %w", out.Job, err)
+			}
+			if prom != nil && a.Series != nil {
+				a.Series.Emit(relabeled{sink: prom, label: a.Name})
 			}
 		}
 	}
 
-	if err := writeThroughput(rc.Out, prom); err != nil {
-		return fmt.Errorf("throughput baseline: %w", err)
+	if throughput {
+		if err := writeThroughput(rc.Out, prom); err != nil {
+			return fmt.Errorf("throughput baseline: %w", err)
+		}
 	}
 
 	fmt.Printf("all artifacts written to %s in %s\n", rc.Out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
+// relabeled publishes every sample under one source label. A counter
+// series labels its samples by kernel or phase, which
+// telemetry.WithLabel leaves alone; on /metrics the series' cumulative
+// totals belong under the artifact's name instead.
+type relabeled struct {
+	sink  telemetry.Sink
+	label string
+}
+
+func (r relabeled) Record(s telemetry.Sample) {
+	s.Label = r.label
+	r.sink.Record(s)
+}
+
 // runJob executes one declared jobspec end to end through the shared
-// sweep.RunJob path — the same execution every other front end uses,
-// so the artifacts under -out are byte-identical to cmd/nvsweep -job
-// and a simd POST of the same file. A timeout_ms in the spec is
+// sweep.RunJob path — the same execution cmd/simd uses, so the
+// artifacts under -out are byte-identical to a simd POST of the same
+// file. A timeout_ms in the spec is
 // honored here too.
 func runJob(rc runcfg.Common, js *jobspec.Spec) error {
 	ctx := context.Background()

@@ -1,7 +1,7 @@
-// Package results renders experiment output: aligned text tables,
-// simple ASCII bar charts for terminal inspection, and CSV for
-// plotting. The reproduction harness (cmd/repro) writes one artifact
-// per paper table/figure through this package.
+// Package results renders experiment output: aligned text tables for
+// terminal inspection and CSV for plotting. The reproduction harness
+// (cmd/repro) writes one artifact per paper table/figure through this
+// package.
 package results
 
 import (
@@ -107,66 +107,4 @@ func (t *Table) String() string {
 // telemetry package existed.
 func (t *Table) WriteCSV(w io.Writer) error {
 	return telemetry.WriteCSVRows(w, t.Headers, t.Rows)
-}
-
-// Bar is one bar of a bar chart.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders horizontal ASCII bars scaled to width characters,
-// with values printed in the given unit. It is the terminal stand-in
-// for the paper's bandwidth bar figures.
-type BarChart struct {
-	Title string
-	Unit  string
-	Width int
-	Bars  []Bar
-}
-
-// NewBarChart returns a chart with a default width of 50 characters.
-func NewBarChart(title, unit string) *BarChart {
-	return &BarChart{Title: title, Unit: unit, Width: 50}
-}
-
-// Add appends one bar.
-func (c *BarChart) Add(label string, value float64) {
-	c.Bars = append(c.Bars, Bar{Label: label, Value: value})
-}
-
-// Fprint renders the chart.
-func (c *BarChart) Fprint(w io.Writer) error {
-	if c.Title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", c.Title); err != nil {
-			return err
-		}
-	}
-	maxVal, maxLabel := 0.0, 0
-	for _, b := range c.Bars {
-		if b.Value > maxVal {
-			maxVal = b.Value
-		}
-		if len(b.Label) > maxLabel {
-			maxLabel = len(b.Label)
-		}
-	}
-	for _, b := range c.Bars {
-		n := 0
-		if maxVal > 0 {
-			n = int(b.Value / maxVal * float64(c.Width))
-		}
-		if _, err := fmt.Fprintf(w, "  %-*s |%s %.2f %s\n",
-			maxLabel, b.Label, strings.Repeat("#", n), b.Value, c.Unit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// String renders the chart.
-func (c *BarChart) String() string {
-	var sb strings.Builder
-	_ = c.Fprint(&sb)
-	return sb.String()
 }

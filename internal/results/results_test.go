@@ -66,37 +66,3 @@ func TestTableCSV(t *testing.T) {
 		t.Errorf("quote cell not escaped: %q", lines[2])
 	}
 }
-
-func TestBarChart(t *testing.T) {
-	c := NewBarChart("BW", "GB/s")
-	c.Add("dram", 100)
-	c.Add("nvram", 25)
-	out := c.String()
-	if !strings.Contains(out, "BW") {
-		t.Errorf("missing title:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("chart lines = %d:\n%s", len(lines), out)
-	}
-	dramBars := strings.Count(lines[1], "#")
-	nvramBars := strings.Count(lines[2], "#")
-	if dramBars != 50 {
-		t.Errorf("max bar = %d chars, want full width 50", dramBars)
-	}
-	if nvramBars < 10 || nvramBars > 14 {
-		t.Errorf("quarter bar = %d chars, want ~12", nvramBars)
-	}
-	if !strings.Contains(lines[2], "25.00 GB/s") {
-		t.Errorf("value missing: %q", lines[2])
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	c := NewBarChart("z", "x")
-	c.Add("a", 0)
-	out := c.String()
-	if strings.Contains(out, "#") {
-		t.Errorf("zero-valued chart drew bars:\n%s", out)
-	}
-}

@@ -1,9 +1,9 @@
 // Package runcfg is the shared command-line surface of the repro
-// binaries. Every command (repro, cnnsim, graphsim, nvbench, nvsweep,
-// and — partially — nvtrace) historically grew its own copy of the same
-// flag block; this package owns it once, so all binaries accept the
-// same -out/-scale/-quick/-parallel/-channels/-metrics-addr set with
-// the same validation and the same live-metrics bootstrap.
+// binaries (repro, nvsweep, nvtrace). It owns the
+// -out/-quick/-metrics-addr block every binary reads, plus -scale and
+// -parallel/-channels for the binaries that read them, with one set of
+// validation rules and one live-metrics bootstrap. A binary registers
+// only the groups it reads, so no front end accepts a flag it ignores.
 //
 // The metrics bootstrap deliberately returns the concrete
 // *telemetry.Prom rather than a telemetry.Sink: when -metrics-addr is
@@ -62,28 +62,33 @@ func Defaults() Common {
 	}
 }
 
-// Register installs the shared flags on fs, using c's current field
-// values as the defaults. Binary-specific flags are registered by the
-// caller alongside.
+// Register installs the flags every binary reads — -out, -quick and
+// -metrics-addr — using c's current field values as the defaults.
+// Binaries add RegisterScale, RegisterWorkers and RegisterJob for the
+// groups they read, and their own flags alongside.
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Out, "out", c.Out, "output directory for artifacts")
-	fs.Uint64Var(&c.Scale, "scale", c.Scale, "footprint scale divisor (power of two)")
 	fs.BoolVar(&c.Quick, "quick", c.Quick, "small footprints for a fast pass")
-	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
-	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels for sharded runs")
-	c.RegisterMetrics(fs)
-}
-
-// RegisterMetrics installs only the -metrics-addr flag, for binaries
-// like nvtrace whose primary flag surface is bespoke but which still
-// expose the live endpoint.
-func (c *Common) RegisterMetrics(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr,
 		"serve Prometheus metrics at this address (e.g. 127.0.0.1:9464)")
 }
 
+// RegisterScale installs -scale, for binaries that size modeled
+// footprints by a divisor.
+func (c *Common) RegisterScale(fs *flag.FlagSet) {
+	fs.Uint64Var(&c.Scale, "scale", c.Scale, "footprint scale divisor (power of two)")
+}
+
+// RegisterWorkers installs -parallel and -channels, for binaries that
+// run jobs on a worker pool and model a channel count.
+func (c *Common) RegisterWorkers(fs *flag.FlagSet) {
+	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
+	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels for sharded runs")
+}
+
 // Validate rejects malformed values up front, before any experiment
-// spends time — the same checks every binary used to carry inline.
+// spends time. Fields whose flags a binary does not register keep
+// their Defaults values, which pass.
 func (c *Common) Validate() error {
 	if c.Scale == 0 || c.Scale&(c.Scale-1) != 0 {
 		return fmt.Errorf("-scale %d must be a nonzero power of two", c.Scale)

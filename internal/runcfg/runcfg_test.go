@@ -12,6 +12,8 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 	c := Defaults()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
+	c.RegisterScale(fs)
+	c.RegisterWorkers(fs)
 	err := fs.Parse([]string{
 		"-out", "artifacts",
 		"-scale", "2048",

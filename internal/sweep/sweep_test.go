@@ -9,6 +9,7 @@ import (
 
 	"twolm/internal/engine"
 	"twolm/internal/jobspec"
+	"twolm/internal/mem"
 	"twolm/internal/telemetry"
 )
 
@@ -249,6 +250,57 @@ func TestRunJobPointMatchesGrid(t *testing.T) {
 	}
 	if a.Lines == 0 || a.CSV == nil || a.JSON == nil {
 		t.Errorf("missing artifacts: lines=%d csv=%d json=%d bytes", a.Lines, len(a.CSV), len(a.JSON))
+	}
+}
+
+// TestFromSpecScaleLowering: a single-point spec's Workload.Scale
+// divisor lowers onto SampleLines (footprint/Scale demand lines per
+// pass), so RunJob of the point is byte-identical to the one-point
+// grid written out longhand with that sample count.
+func TestFromSpecScaleLowering(t *testing.T) {
+	const cacheKiB, scale = 4096, 512
+	point := jobspec.Spec{
+		Version:  jobspec.Version,
+		Name:     "scaled",
+		Geometry: &jobspec.Geometry{CacheKiB: cacheKiB, Ways: 1, Channels: 2, DIMMs: 1},
+		Policy:   jobspec.PolicyHardware,
+		Workload: &jobspec.Workload{
+			Pattern: jobspec.PatternSequential,
+			Ratio:   jobspec.DefaultRatio,
+			Seed:    jobspec.DefaultSeed,
+			Scale:   scale,
+			Passes:  1,
+		},
+	}
+	got, err := RunJob(context.Background(), point, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lines := uint64(cacheKiB) * 1024 / mem.Line * jobspec.DefaultRatio
+	r, err := New(Spec{
+		Name: "scaled",
+		Axes: jobspec.Axes{
+			CacheKiB:    []uint64{cacheKiB},
+			Channels:    []int{2},
+			Ratios:      []uint64{jobspec.DefaultRatio},
+			Patterns:    []string{jobspec.PatternSequential},
+			SampleLines: lines / scale,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := r.Run(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := WriteCSV(&csv, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.CSV, csv.Bytes()) {
+		t.Errorf("scaled point differs from the longhand grid:\npoint: %q\ngrid:  %q", got.CSV, csv.Bytes())
 	}
 }
 
