@@ -276,10 +276,10 @@ func BenchmarkFig9(b *testing.B) {
 		s := getBenchStudy(b)
 		small, large := s.Fig9Traces()
 		if i == 0 && small != nil && large != nil {
-			sl := small.Samples()[small.Len()-2]
-			ll := large.Samples()[large.Len()-2]
-			b.ReportMetric(float64(sl.Delta.TagMissClean+sl.Delta.TagMissDirty), "fits-steady-misses")
-			b.ReportMetric(float64(ll.Delta.TagMissClean+ll.Delta.TagMissDirty), "exceeds-steady-misses")
+			sl := small.Deltas()[small.Len()-2]
+			ll := large.Deltas()[large.Len()-2]
+			b.ReportMetric(float64(sl.TagMissClean+sl.TagMissDirty), "fits-steady-misses")
+			b.ReportMetric(float64(ll.TagMissClean+ll.TagMissDirty), "exceeds-steady-misses")
 		}
 	}
 }

@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"twolm/internal/engine"
+	"twolm/internal/jobspec"
 	"twolm/internal/runcfg"
 	"twolm/internal/sweep"
 )
@@ -90,15 +90,9 @@ func loadSpec(rc runcfg.Common, specPath string) (sweep.Spec, error) {
 		}
 		defer f.Close()
 		// Strict, like jobspec.Decode: a misspelled axis must fail, not
-		// silently run the axis's default. Any token after the document
-		// is trailing data, a stray closing bracket included.
-		dec := json.NewDecoder(f)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		// silently run the axis's default.
+		if err := jobspec.DecodeStrict(f, &spec); err != nil {
 			return spec, fmt.Errorf("%s: %w", specPath, err)
-		}
-		if _, err := dec.Token(); err != io.EOF {
-			return spec, fmt.Errorf("%s: trailing data after the sweep spec", specPath)
 		}
 	case rc.Quick:
 		spec = sweep.QuickSpec()

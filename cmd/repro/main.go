@@ -193,7 +193,7 @@ func writeArtifact(dir string, a engine.Artifact) error {
 			return err
 		}
 		defer f.Close()
-		return a.Series.WriteCSV(f)
+		return a.Series.WriteIntervalCSV(f)
 	case a.Text != "":
 		return os.WriteFile(filepath.Join(dir, a.Name+".txt"), []byte(a.Text), 0o644)
 	}
@@ -265,7 +265,12 @@ func (o *options) run() error {
 				return fmt.Errorf("%s: %w", out.Job, err)
 			}
 			if prom != nil && a.Series != nil {
-				a.Series.Emit(relabeled{sink: prom, label: a.Name})
+				// On /metrics a series' totals belong under the
+				// artifact's name, not its kernel or phase labels.
+				for _, s := range a.Series.Samples() {
+					s.Label = a.Name
+					prom.Record(s)
+				}
 			}
 		}
 	}
@@ -278,20 +283,6 @@ func (o *options) run() error {
 
 	fmt.Printf("all artifacts written to %s in %s\n", rc.Out, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// relabeled publishes every sample under one source label. A counter
-// series labels its samples by kernel or phase, which
-// telemetry.WithLabel leaves alone; on /metrics the series' cumulative
-// totals belong under the artifact's name instead.
-type relabeled struct {
-	sink  telemetry.Sink
-	label string
-}
-
-func (r relabeled) Record(s telemetry.Sample) {
-	s.Label = r.label
-	r.sink.Record(s)
 }
 
 // runJob executes one declared jobspec end to end through the shared

@@ -192,7 +192,7 @@ func TestSeriesArtifactsReachProm(t *testing.T) {
 		t.Fatal(err)
 	}
 	line := fmt.Sprintf("twolm_llc_read_lines_total{source=%q} %d\n",
-		series.Name, series.Series.Total().LLCRead)
+		series.Name, series.Series.Last().LLCRead)
 	if !strings.Contains(string(body), line) {
 		t.Errorf("exposition missing %q:\n%s", line, body)
 	}

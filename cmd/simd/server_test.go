@@ -166,6 +166,17 @@ func TestSubmitValidationErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("trailing bracket", func(t *testing.T) {
+		var eb errorBody
+		resp := postJob(t, ts, quickJob+"]", &eb)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+		if !strings.Contains(eb.Error, "trailing data") {
+			t.Errorf("error %q does not name the trailing data", eb.Error)
+		}
+	})
+
 	t.Run("not json", func(t *testing.T) {
 		resp := postJob(t, ts, `cache_kib=64`, nil)
 		if resp.StatusCode != http.StatusBadRequest {

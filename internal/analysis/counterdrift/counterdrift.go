@@ -1,8 +1,9 @@
 // Package counterdrift enforces the repro's counting-exactness
 // contract at build time: every field of a Counters struct must flow
 // through the whole snapshot pipeline — field-wise Add, clamped Sub,
-// and the String rendering — and every Merge-style aggregator must
-// either delegate to Add or touch every field itself.
+// the String rendering and the Sample conversion that every counter
+// trace is built from — and every Merge-style aggregator must either
+// delegate to Add or touch every field itself.
 //
 // The invariant this encodes is the paper's headline property: the
 // serial controller, the channel-sharded engine, and the batched
@@ -23,14 +24,23 @@ import (
 // Analyzer is the counterdrift analyzer.
 var Analyzer = &lintkit.Analyzer{
 	Name: "counterdrift",
-	Doc: "every Counters field must be referenced in Add, Sub, and String, " +
+	Doc: "every Counters field must be referenced in Add, Sub, String, and Sample, " +
 		"and Merge* aggregators must use Add or touch every field; guards " +
 		"byte-identical counters across serial, sharded, and batched paths",
 	Run: run,
 }
 
 // methods whose bodies must reference every counter field.
-var requiredMethods = []string{"Add", "Sub", "String"}
+var requiredMethods = []string{"Add", "Sub", "String", "Sample"}
+
+// missingEffect says what a field a required method forgets does to
+// the simulator's output.
+func missingEffect(method string) string {
+	if method == "Sample" {
+		return "silently drops out of every counter trace"
+	}
+	return "silently diverges between the serial, sharded, and batched engines"
+}
 
 func run(pass *lintkit.Pass) error {
 	named, fields := localCounters(pass)
@@ -80,15 +90,15 @@ func checkMethods(pass *lintkit.Pass, named *types.Named, fields []*types.Var) {
 		fd, ok := found[name]
 		if !ok {
 			pass.Reportf(named.Obj().Pos(),
-				"Counters has no %s method; counters must support field-wise Add, clamped Sub, and a String snapshot", name)
+				"Counters has no %s method; counters must support field-wise Add, clamped Sub, a String snapshot, and a telemetry Sample", name)
 			continue
 		}
 		touched := fieldsReferenced(pass, fd.Body, fields)
 		for _, fv := range fields {
 			if !touched[fv] {
 				pass.Reportf(fv.Pos(),
-					"counter field %s is not referenced in Counters.%s; a field outside the %s path silently diverges between the serial, sharded, and batched engines",
-					fv.Name(), name, name)
+					"counter field %s is not referenced in Counters.%s; a field outside the %s path %s",
+					fv.Name(), name, name, missingEffect(name))
 			}
 		}
 	}

@@ -7,13 +7,23 @@ import (
 	"twolm/internal/analysis/counterdrift"
 )
 
-// TestDrift: a seeded fake field missing from Add/Sub/String and a
-// hand-rolled merge are both caught.
+// TestDrift: a seeded fake field missing from Add/Sub/String/Sample
+// and a hand-rolled merge are both caught.
 func TestDrift(t *testing.T) {
 	diags := analysistest.Run(t, counterdrift.Analyzer, "drift")
 	// One finding per missing pipeline stage plus one for the merge.
-	if len(diags) != 4 {
-		t.Errorf("got %d diagnostics, want 4 (Add, Sub, String, MergeCounters)", len(diags))
+	if len(diags) != 5 {
+		t.Errorf("got %d diagnostics, want 5 (Add, Sub, String, Sample, MergeCounters)", len(diags))
+	}
+}
+
+// TestSampleDrift: a field the Sample conversion forgets is caught even
+// when Add, Sub and String carry it — it would otherwise drop out of
+// every counter trace.
+func TestSampleDrift(t *testing.T) {
+	diags := analysistest.Run(t, counterdrift.Analyzer, "driftsample")
+	if len(diags) != 1 {
+		t.Errorf("got %d diagnostics, want 1 (Sample)", len(diags))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package drift seeds a fake counter field to prove counterdrift
 // catches a field that is wired into the request path but not into
-// the Add/Sub/String snapshot pipeline.
+// the Add/Sub/String/Sample snapshot pipeline.
 package drift
 
 import "fmt"
@@ -9,8 +9,8 @@ type Counters struct {
 	Reads  uint64
 	Writes uint64
 	// Spilled is bumped on the request path below but deliberately
-	// missing from Add, Sub, and String.
-	Spilled uint64 // want `Spilled is not referenced in Counters\.(Add|Sub|String)`
+	// missing from Add, Sub, String, and Sample.
+	Spilled uint64 // want `Spilled is not referenced in Counters\.(Add|Sub|String|Sample)`
 }
 
 func (c Counters) Add(o Counters) Counters {
@@ -27,6 +27,13 @@ func (c Counters) Sub(o Counters) Counters {
 
 func (c Counters) String() string {
 	return fmt.Sprintf("r=%d w=%d", c.Reads, c.Writes)
+}
+
+// Sample is the trace shape the counters convert into.
+type Sample struct{ Reads, Writes, Spilled uint64 }
+
+func (c Counters) Sample() Sample {
+	return Sample{Reads: c.Reads, Writes: c.Writes}
 }
 
 // Record drives the fake field so the fixture mirrors a real drift:

@@ -1,5 +1,5 @@
 // Package driftok is the clean shape: every field flows through Add,
-// Sub, and String, and the merge delegates to Add.
+// Sub, String, and Sample, and the merge delegates to Add.
 package driftok
 
 import "fmt"
@@ -23,6 +23,13 @@ func (c Counters) Sub(o Counters) Counters {
 
 func (c Counters) String() string {
 	return fmt.Sprintf("r=%d w=%d", c.Reads, c.Writes)
+}
+
+// Sample is the trace shape the counters convert into.
+type Sample struct{ Reads, Writes uint64 }
+
+func (c Counters) Sample() Sample {
+	return Sample{Reads: c.Reads, Writes: c.Writes}
 }
 
 // MergeCounters aggregates through Add, so new fields can never fall

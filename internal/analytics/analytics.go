@@ -20,7 +20,7 @@ import (
 	"twolm/internal/imc"
 	"twolm/internal/lfsr"
 	"twolm/internal/mem"
-	"twolm/internal/perfcounter"
+	"twolm/internal/telemetry"
 )
 
 // Config wires a kernel run.
@@ -86,7 +86,7 @@ type Result struct {
 	// remaining-node count (kcore), []float32 ranks (pr).
 	Output any
 	// Series is the per-round counter trace.
-	Series *perfcounter.Series
+	Series *telemetry.Recorder
 }
 
 // DemandGB returns CPU-visible traffic in (scaled) decimal GB.
@@ -132,17 +132,13 @@ func newRunner(cfg Config) (*runner, error) {
 func (r *runner) finish(kernel string, rounds int, output any) Result {
 	r.sys.DrainLLC()
 	r.sys.Sync(kernel+":drain", 0)
-	var series perfcounter.Series
-	for _, s := range r.sys.Series().Samples()[r.n0:] {
-		series.Append(s)
-	}
 	return Result{
 		Kernel:  kernel,
 		Elapsed: r.sys.Clock() - r.t0,
 		Delta:   r.sys.Counters().Sub(r.ctr0),
 		Rounds:  rounds,
 		Output:  output,
-		Series:  &series,
+		Series:  r.sys.Series().Window(r.n0),
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 	"twolm/internal/imc"
 	"twolm/internal/mem"
 	"twolm/internal/nn"
-	"twolm/internal/perfcounter"
+	"twolm/internal/telemetry"
 )
 
 // Config parameterizes the planner.
@@ -57,7 +57,7 @@ type Result struct {
 	// Counters holds the iteration's memory traffic.
 	Counters imc.Counters
 	// Series is the per-kernel trace (the paper's Figure 10).
-	Series *perfcounter.Series
+	Series *telemetry.Recorder
 	// MoveInBytes and MoveOutBytes are the planner's explicit transfer
 	// volumes (scaled).
 	MoveInBytes  uint64
@@ -354,7 +354,6 @@ func (p *planner) run() error {
 			p.sys.StoreRange(p.dramRegion(t))
 			p.state[t].dirty = true
 		}
-		p.sys.AddInstructions(p.plan.KernelInstructions(ki))
 
 		phase := "fwd"
 		if ki >= p.plan.Prog.ForwardKernels {
@@ -387,6 +386,3 @@ func (p *planner) retireIfDead(t, k int) {
 		p.inUse -= p.plan.Bytes[t]
 	}
 }
-
-// Sample re-exports the perfcounter sample type for consumers.
-type Sample = perfcounter.Sample

@@ -134,16 +134,16 @@ func TestPhaseSeparation(t *testing.T) {
 	}
 	var fwdW, bwdW, fwdR, bwdR uint64
 	phase := "fwd"
-	for _, s := range res.Series.Samples() {
-		if strings.HasPrefix(s.Label, "bwd:") {
+	for _, d := range res.Series.Deltas() {
+		if strings.HasPrefix(d.Label, "bwd:") {
 			phase = "bwd"
 		}
 		if phase == "fwd" {
-			fwdW += s.Delta.NVRAMWrite
-			fwdR += s.Delta.NVRAMRead
+			fwdW += d.NVRAMWrite
+			fwdR += d.NVRAMRead
 		} else {
-			bwdW += s.Delta.NVRAMWrite
-			bwdR += s.Delta.NVRAMRead
+			bwdW += d.NVRAMWrite
+			bwdR += d.NVRAMRead
 		}
 	}
 	if fwdW == 0 {

@@ -410,7 +410,6 @@ func ExecuteStatic(plan *compiler.Plan, sys *core.System, static *StaticPlan, cf
 			sys.StoreRange(p.dramRegion(t))
 			p.state[t].resident = true
 		}
-		sys.AddInstructions(plan.KernelInstructions(ki))
 		phase := "fwd"
 		if ki >= plan.Prog.ForwardKernels {
 			phase = "bwd"

@@ -11,7 +11,7 @@ import (
 	"twolm/internal/core"
 	"twolm/internal/imc"
 	"twolm/internal/mem"
-	"twolm/internal/perfcounter"
+	"twolm/internal/telemetry"
 )
 
 // ExecConfig parameterizes plan execution.
@@ -64,15 +64,6 @@ func (p *Plan) KernelSeconds(k int, cfg ExecConfig) float64 {
 	return flops / (cfg.PeakFLOPS * cfg.ComputeEfficiency * threadFrac)
 }
 
-// KernelInstructions estimates retired instructions for the MIPS trace:
-// vectorized FLOPs plus load/store and bookkeeping instructions
-// proportional to bytes moved.
-func (p *Plan) KernelInstructions(k int) uint64 {
-	flops := p.Prog.Kernels[k].FLOPs / p.Scale
-	reads, writes := p.KernelBytes(k)
-	return flops/16 + (reads+writes)/16
-}
-
 // ExecResult reports one measured training iteration.
 type ExecResult struct {
 	// Elapsed is the simulated iteration time in seconds.
@@ -80,7 +71,7 @@ type ExecResult struct {
 	// Counters holds the iteration's memory-controller events.
 	Counters imc.Counters
 	// Series is the per-kernel counter trace (the paper's Figure 5).
-	Series *perfcounter.Series
+	Series *telemetry.Recorder
 	// Heap is the region the program ran in.
 	Heap mem.Region
 }
@@ -135,7 +126,6 @@ func runIteration(plan *Plan, sys *core.System, heap mem.Region, cfg ExecConfig,
 		for _, t := range k.Writes {
 			sys.StoreRange(plan.Region(heap.Base, t))
 		}
-		sys.AddInstructions(plan.KernelInstructions(ki))
 		label := ""
 		if labeled {
 			phase := "fwd"

@@ -32,7 +32,6 @@ import (
 	"twolm/internal/imc"
 	"twolm/internal/mem"
 	"twolm/internal/nvram"
-	"twolm/internal/perfcounter"
 	"twolm/internal/platform"
 	"twolm/internal/telemetry"
 )
@@ -117,8 +116,9 @@ type System struct {
 	demandBytes uint64 // total CPU-visible bytes touched
 	lastCtr     imc.Counters
 	lastDemand  uint64
-	instr       uint64
-	series      perfcounter.Series
+	// series holds one cumulative sample per Sync interval: counters
+	// since ResetStats, Clock at the interval's end, and its label.
+	series telemetry.Recorder
 
 	// DMA engine state: transfers bypass the CPU and the on-chip
 	// cache; their device traffic counts normally but they cost no
@@ -725,15 +725,11 @@ func (s *System) Counters() imc.Counters {
 // DemandBytes returns total CPU-visible bytes touched.
 func (s *System) DemandBytes() uint64 { return s.demandBytes }
 
-// AddInstructions credits n retired instructions to the current
-// interval (for the MIPS trace of the paper's Figure 5a).
-func (s *System) AddInstructions(n uint64) { s.instr += n }
-
 // Clock returns the simulated elapsed time in seconds.
 func (s *System) Clock() float64 { return s.clock }
 
-// Series returns the sampled counter time series.
-func (s *System) Series() *perfcounter.Series { return &s.series }
+// Series returns the Sync interval series since the last ResetStats.
+func (s *System) Series() *telemetry.Recorder { return &s.series }
 
 // SetTelemetry attaches (or, with a nil sink, detaches) a telemetry
 // sink sampled every `every` demand lines at the Range entry points.
@@ -754,21 +750,8 @@ func (s *System) SetTelemetry(sink telemetry.Sink, every uint64) {
 // absent, as on the controller (see imc.Controller.Snapshot); use
 // NVRAM().Snapshot for media-granularity observation.
 func (s *System) Snapshot() telemetry.Sample {
-	ctr := s.Counters()
-	sample := telemetry.Sample{
-		Demand:       ctr.Demand(),
-		Clock:        s.clock,
-		LLCRead:      ctr.LLCRead,
-		LLCWrite:     ctr.LLCWrite,
-		DRAMRead:     ctr.DRAMRead,
-		DRAMWrite:    ctr.DRAMWrite,
-		NVRAMRead:    ctr.NVRAMRead,
-		NVRAMWrite:   ctr.NVRAMWrite,
-		TagHit:       ctr.TagHit,
-		TagMissClean: ctr.TagMissClean,
-		TagMissDirty: ctr.TagMissDirty,
-		DDO:          ctr.DDO,
-	}
+	sample := s.Counters().Sample()
+	sample.Clock = s.clock
 	chs := s.dramMod.ChannelCounters()
 	sample.ChannelReads = make([]uint64, len(chs))
 	sample.ChannelWrites = make([]uint64, len(chs))
@@ -862,7 +845,8 @@ func (s *System) avgDemandLatencyNS(d imc.Counters) float64 {
 // Sync closes the current interval: it computes the interval's elapsed
 // time from the traffic generated since the previous Sync (overlapped
 // with computeSeconds of CPU work), advances the clock, and records a
-// sample labeled label. It returns the sample.
+// cumulative sample labeled label in Series. It returns the interval's
+// delta sample, whose Clock is the interval's duration.
 //
 // Interval time is the maximum busy time over the system's resources:
 //
@@ -870,7 +854,7 @@ func (s *System) avgDemandLatencyNS(d imc.Counters) float64 {
 //	NVRAM DIMMs:    readBytes/readBW + writeBytes/writeBW
 //	CPU issue:      demandBytes / issueBW(latency)
 //	CPU compute:    computeSeconds
-func (s *System) Sync(label string, computeSeconds float64) perfcounter.Sample {
+func (s *System) Sync(label string, computeSeconds float64) telemetry.Sample {
 	ctr := s.Counters()
 	d := ctr.Sub(s.lastCtr)
 	demand := s.demandBytes - s.lastDemand
@@ -946,25 +930,21 @@ func (s *System) Sync(label string, computeSeconds float64) perfcounter.Sample {
 	dt := max4(memTime, cpuTime, computeSeconds, dmaTime)
 	s.clock += dt
 
-	sample := perfcounter.Sample{
-		Time:  s.clock,
-		Dur:   dt,
-		Delta: d,
-		Instr: s.instr,
-		Label: label,
-	}
-	s.series.Append(sample)
+	cum := ctr.Sample()
+	cum.Clock, cum.Label = s.clock, label
+	s.series.Record(cum)
 	s.lastCtr = ctr
 	s.lastDemand = s.demandBytes
 	s.lastDMA = s.dmaBytes
 	s.lastDNV = s.dmaNV
-	s.instr = 0
 	if s.sink != nil {
 		// Interval boundaries are always worth a sample: record one
 		// carrying the interval label, regardless of the demand clock.
 		s.recordSample(label)
 	}
-	return sample
+	interval := d.Sample()
+	interval.Clock, interval.Label = dt, label
+	return interval
 }
 
 func max4(a, b, c, d float64) float64 {
@@ -1006,12 +986,11 @@ func (s *System) ResetStats() {
 	s.demandBytes = 0
 	s.lastCtr = imc.Counters{}
 	s.lastDemand = 0
-	s.instr = 0
 	s.dmaBytes = 0
 	s.dmaNV = 0
 	s.lastDMA = 0
 	s.lastDNV = 0
-	s.series = perfcounter.Series{}
+	s.series.Reset()
 	if s.sink != nil {
 		// The demand clock rewound to zero; restart the sampling phase.
 		s.haveSample = false

@@ -203,8 +203,8 @@ func TestSyncAdvancesClock(t *testing.T) {
 	s.SetTraffic(mem.Sequential, mem.Line)
 	s.LoadRange(arr)
 	sample := s.Sync("pass1", 0)
-	if sample.Dur <= 0 || s.Clock() != sample.Time {
-		t.Errorf("sync: dur=%g clock=%g time=%g", sample.Dur, s.Clock(), sample.Time)
+	if end := s.Series().Last().Clock; sample.Clock <= 0 || s.Clock() != end || end != sample.Clock {
+		t.Errorf("sync: dur=%g clock=%g series end=%g", sample.Clock, s.Clock(), end)
 	}
 	if s.EffectiveBW() <= 0 {
 		t.Error("effective bandwidth not positive")
@@ -225,8 +225,8 @@ func TestSyncComputeBound(t *testing.T) {
 	s := newSystem(t, Mode2LM)
 	s.Load(0)
 	sample := s.Sync("k", 10.0)
-	if sample.Dur != 10.0 {
-		t.Errorf("compute-bound interval dur = %g, want 10", sample.Dur)
+	if sample.Clock != 10.0 {
+		t.Errorf("compute-bound interval dur = %g, want 10", sample.Clock)
 	}
 }
 
@@ -235,8 +235,8 @@ func TestSyncComputeBound(t *testing.T) {
 func TestSyncEmptyInterval(t *testing.T) {
 	s := newSystem(t, Mode2LM)
 	sample := s.Sync("idle", 0)
-	if sample.Dur != 0 {
-		t.Errorf("idle interval dur = %g, want 0", sample.Dur)
+	if sample.Clock != 0 {
+		t.Errorf("idle interval dur = %g, want 0", sample.Clock)
 	}
 }
 
@@ -262,21 +262,6 @@ func TestMissTrafficIsSlower(t *testing.T) {
 	if missBW >= hitBW {
 		t.Errorf("miss-heavy effective BW %.2f GB/s should be below hit BW %.2f GB/s",
 			missBW/mem.GB, hitBW/mem.GB)
-	}
-}
-
-// TestInstructionAccounting: instructions credit to the interval in
-// which they were added and reset after Sync.
-func TestInstructionAccounting(t *testing.T) {
-	s := newSystem(t, Mode2LM)
-	s.AddInstructions(1000)
-	sm := s.Sync("a", 0.001)
-	if sm.Instr != 1000 {
-		t.Errorf("sample instr = %d, want 1000", sm.Instr)
-	}
-	sm2 := s.Sync("b", 0.001)
-	if sm2.Instr != 0 {
-		t.Errorf("instructions leaked into next interval: %d", sm2.Instr)
 	}
 }
 

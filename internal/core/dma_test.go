@@ -42,8 +42,8 @@ func TestDMACopyOverlapsCompute(t *testing.T) {
 	dst, _ := s.AddressSpace().AllocDRAM(mem.MiB)
 	s.DMACopy(src, dst)
 	sample := s.Sync("kernel", 1.0) // 1 s of compute dwarfs the copy
-	if sample.Dur != 1.0 {
-		t.Errorf("interval = %.4f s, want exactly the compute time (copy hidden)", sample.Dur)
+	if sample.Clock != 1.0 {
+		t.Errorf("interval = %.4f s, want exactly the compute time (copy hidden)", sample.Clock)
 	}
 }
 
@@ -57,13 +57,13 @@ func TestDMAEngineCeiling(t *testing.T) {
 	s.DMACopy(src, dst)
 	sample := s.Sync("move", 0)
 	want := float64(2*src.Size) / 1e9
-	if sample.Dur < want*0.99 || sample.Dur > want*1.01 {
-		t.Errorf("interval = %.6f s, want ~%.6f (engine bound)", sample.Dur, want)
+	if sample.Clock < want*0.99 || sample.Clock > want*1.01 {
+		t.Errorf("interval = %.6f s, want ~%.6f (engine bound)", sample.Clock, want)
 	}
 	// Negative bandwidths clamp to disabled.
 	s.SetDMABandwidth(-5)
 	s.DMACopy(src, dst)
-	if d := s.Sync("move2", 0).Dur; d >= want {
+	if d := s.Sync("move2", 0).Clock; d >= want {
 		t.Errorf("disabled engine still bound the interval: %.6f", d)
 	}
 }
@@ -80,7 +80,7 @@ func TestDMAExcludedFromDemandLatency(t *testing.T) {
 		if withDMA {
 			s.DMACopy(src, dst)
 		}
-		return s.Sync("x", 0).Dur
+		return s.Sync("x", 0).Clock
 	}
 	plain := run(false)
 	mixed := run(true)
@@ -119,7 +119,7 @@ func TestResetStatsClearsDMA(t *testing.T) {
 	s.SetDMABandwidth(1e9)
 	s.DMACopy(src, dst)
 	s.ResetStats()
-	if d := s.Sync("idle", 0).Dur; d != 0 {
+	if d := s.Sync("idle", 0).Clock; d != 0 {
 		t.Errorf("stale DMA bytes leaked into a fresh interval: %.6f", d)
 	}
 }

@@ -30,7 +30,7 @@ func TestStreamsDegradeNVRAMTime(t *testing.T) {
 		s.SetStreams(streams)
 		s.SetTraffic(mem.Sequential, mem.Line)
 		s.StoreNTRange(arr)
-		return s.Sync("x", 0).Dur
+		return s.Sync("x", 0).Clock
 	}
 	one := elapsed(1)
 	six := elapsed(6)
@@ -58,7 +58,7 @@ func TestStreamsCongestionBounded(t *testing.T) {
 		s.SetStreams(streams)
 		s.SetTraffic(mem.Random, mem.Line)
 		s.LoadRange(arr)
-		return s.Sync("x", 0).Dur
+		return s.Sync("x", 0).Clock
 	}
 	one := elapsed(1)
 	eight := elapsed(8)
@@ -83,7 +83,7 @@ func TestMLPBoundsIssue(t *testing.T) {
 		s.SetTraffic(mem.Random, mem.Line)
 		s.SetThreads(4)
 		s.LoadRange(arr)
-		return s.Sync("x", 0).Dur
+		return s.Sync("x", 0).Clock
 	}
 	def := elapsed(0)
 	limited := elapsed(1)
@@ -117,7 +117,7 @@ func Test2LMCongestionSerializesDRAMAndNVRAM(t *testing.T) {
 		s.SetStreams(streams)
 		s.SetTraffic(mem.Sequential, mem.Line)
 		s.LoadRange(arr)
-		return s.Sync("x", 0).Dur
+		return s.Sync("x", 0).Clock
 	}
 	low := run(2)  // max(dram, nvram)
 	high := run(6) // dram + degraded nvram

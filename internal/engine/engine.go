@@ -269,20 +269,7 @@ func (s *Sharded) Snapshot() telemetry.Sample {
 }
 
 func (s *Sharded) snapshotLocked() telemetry.Sample {
-	ctr := s.countersLocked()
-	sample := telemetry.Sample{
-		Demand:       ctr.Demand(),
-		LLCRead:      ctr.LLCRead,
-		LLCWrite:     ctr.LLCWrite,
-		DRAMRead:     ctr.DRAMRead,
-		DRAMWrite:    ctr.DRAMWrite,
-		NVRAMRead:    ctr.NVRAMRead,
-		NVRAMWrite:   ctr.NVRAMWrite,
-		TagHit:       ctr.TagHit,
-		TagMissClean: ctr.TagMissClean,
-		TagMissDirty: ctr.TagMissDirty,
-		DDO:          ctr.DDO,
-	}
+	sample := s.countersLocked().Sample()
 	sample.ChannelReads = make([]uint64, 0, len(s.shards))
 	sample.ChannelWrites = make([]uint64, 0, len(s.shards))
 	for _, sh := range s.shards {

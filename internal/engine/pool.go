@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"twolm/internal/imc"
-	"twolm/internal/perfcounter"
 	"twolm/internal/results"
+	"twolm/internal/telemetry"
 )
 
 // Artifact is one named experiment output: a rendered table, a counter
@@ -25,7 +25,7 @@ import (
 type Artifact struct {
 	Name   string
 	Table  *results.Table
-	Series *perfcounter.Series
+	Series *telemetry.Recorder
 	Text   string
 }
 

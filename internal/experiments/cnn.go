@@ -14,9 +14,9 @@ import (
 	"twolm/internal/core"
 	"twolm/internal/mem"
 	"twolm/internal/nn"
-	"twolm/internal/perfcounter"
 	"twolm/internal/platform"
 	"twolm/internal/results"
+	"twolm/internal/telemetry"
 )
 
 // CNNConfig parameterizes the CNN case study.
@@ -131,7 +131,7 @@ type Fig5Result struct {
 	Plan *compiler.Plan
 	Exec *compiler.ExecResult
 	// Trace is the counter series rebinned for plotting.
-	Trace *perfcounter.Series
+	Trace *telemetry.Recorder
 	// Liveness has one row per sampled kernel: time, phase, heap
 	// offsets touched and live bytes (the Figure 5d memory map).
 	Liveness *results.Table
@@ -142,8 +142,8 @@ type Fig5Result struct {
 }
 
 // Fig5 reproduces Figure 5: the memory behavior of one 2LM training
-// iteration of DenseNet 264 — MIPS (a), tag statistics (b), bandwidth
-// (c) and heap liveness (d).
+// iteration of DenseNet 264 — tag statistics (b), bandwidth (c) and
+// heap liveness (d). The MIPS panel (a) is not emitted.
 func Fig5(cfg CNNConfig) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
 	plan, err := cfg.CompileNetwork("densenet264")
@@ -180,7 +180,7 @@ func Fig5(cfg CNNConfig) (*Fig5Result, error) {
 				}
 			}
 			live.AddRow(
-				fmt.Sprintf("%.1f", cfg.unscaleSeconds(s.Time)),
+				fmt.Sprintf("%.1f", cfg.unscaleSeconds(s.Clock)),
 				phase, k.Name,
 				cfg.unscaleGB(plan.LiveBytesAt(ki)),
 				cfg.unscaleGB(lo), cfg.unscaleGB(hi))
@@ -239,8 +239,9 @@ func Fig6(cfg CNNConfig) (*results.Table, error) {
 	// t=152s of 524s).
 	start := plan.Prog.ForwardKernels / 2
 	count := 0
-	for _, s := range exec.Series.Samples() {
-		if !strings.HasPrefix(s.Label, "fwd:") {
+	samples := exec.Series.Samples()
+	for i, d := range exec.Series.Deltas() {
+		if !strings.HasPrefix(d.Label, "fwd:") {
 			continue
 		}
 		count++
@@ -248,11 +249,11 @@ func Fig6(cfg CNNConfig) (*results.Table, error) {
 			continue
 		}
 		table.AddRow(
-			fmt.Sprintf("%.2f", cfg.unscaleSeconds(s.Time)),
-			strings.TrimPrefix(s.Label, "fwd:"),
-			s.DRAMReadBW()/mem.GB, s.DRAMWriteBW()/mem.GB,
-			s.NVRAMReadBW()/mem.GB, s.NVRAMWriteBW()/mem.GB,
-			s.Dur*float64(cfg.Scale)*1e3)
+			fmt.Sprintf("%.2f", cfg.unscaleSeconds(samples[i].Clock)),
+			strings.TrimPrefix(d.Label, "fwd:"),
+			d.DRAMReadBW()/mem.GB, d.DRAMWriteBW()/mem.GB,
+			d.NVRAMReadBW()/mem.GB, d.NVRAMWriteBW()/mem.GB,
+			d.Clock*float64(cfg.Scale)*1e3)
 		if count >= start+14 {
 			break
 		}
@@ -262,7 +263,7 @@ func Fig6(cfg CNNConfig) (*results.Table, error) {
 
 // Fig10Result bundles the AutoTM trace and its phase summary.
 type Fig10Result struct {
-	Trace *perfcounter.Series
+	Trace *telemetry.Recorder
 	// PhaseTable shows that NVRAM writes concentrate in the forward
 	// pass and NVRAM reads in the backward pass.
 	PhaseTable *results.Table
@@ -283,15 +284,14 @@ func Fig10(cfg CNNConfig) (*Fig10Result, error) {
 	// Phase attribution: moves belong to the phase of the kernel they
 	// precede.
 	var fwd, bwd struct{ nvR, nvW uint64 }
-	samples := res.Series.Samples()
-	for i, s := range samples {
-		phase := phaseOf(samples, i)
-		if phase == "bwd" {
-			bwd.nvR += s.Delta.NVRAMRead
-			bwd.nvW += s.Delta.NVRAMWrite
+	samples := res.Series.Deltas()
+	for i, d := range samples {
+		if phaseOf(samples, i) == "bwd" {
+			bwd.nvR += d.NVRAMRead
+			bwd.nvW += d.NVRAMWrite
 		} else {
-			fwd.nvR += s.Delta.NVRAMRead
-			fwd.nvW += s.Delta.NVRAMWrite
+			fwd.nvR += d.NVRAMRead
+			fwd.nvW += d.NVRAMWrite
 		}
 	}
 	table := results.NewTable("Figure 10: AutoTM NVRAM traffic by phase (DenseNet 264)",
@@ -306,7 +306,7 @@ func Fig10(cfg CNNConfig) (*Fig10Result, error) {
 
 // phaseOf resolves the training phase of sample i: its own label, or
 // the next kernel label for "move:"/"setup"/"drain" samples.
-func phaseOf(samples []perfcounter.Sample, i int) string {
+func phaseOf(samples []telemetry.Sample, i int) string {
 	for j := i; j < len(samples); j++ {
 		l := samples[j].Label
 		if strings.HasPrefix(l, "fwd:") {

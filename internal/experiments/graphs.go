@@ -13,10 +13,10 @@ import (
 	"twolm/internal/core"
 	"twolm/internal/graph"
 	"twolm/internal/mem"
-	"twolm/internal/perfcounter"
 	"twolm/internal/platform"
 	"twolm/internal/results"
 	"twolm/internal/sage"
+	"twolm/internal/telemetry"
 )
 
 // GraphConfig parameterizes the graph case study. The defaults mirror
@@ -326,7 +326,7 @@ func (s *Study) Fig8() *results.Table {
 // Fig9Traces returns the pagerank counter traces: (a) the small graph
 // in 2LM, (b/c) the large graph in 2LM (bandwidth and tag events come
 // from the same series).
-func (s *Study) Fig9Traces() (small, large *perfcounter.Series) {
+func (s *Study) Fig9Traces() (small, large *telemetry.Recorder) {
 	if r := s.find(s.Small.Name, Mode2LMFlat, "pr"); r != nil {
 		small = r.Result.Series
 	}
@@ -344,21 +344,19 @@ func (s *Study) Fig9() *results.Table {
 	smallTr, largeTr := s.Fig9Traces()
 	for _, tr := range []struct {
 		name string
-		s    *perfcounter.Series
+		s    *telemetry.Recorder
 	}{{s.Small.Name, smallTr}, {s.Large.Name, largeTr}} {
 		if tr.s == nil {
 			continue
 		}
-		round := 0
-		for _, sample := range tr.s.Samples() {
-			if sample.Dur == 0 {
+		for _, d := range tr.s.Deltas() {
+			if d.Clock == 0 {
 				continue
 			}
-			round++
-			t.AddRow(tr.name, sample.Label,
-				sample.DRAMReadBW()/mem.GB, sample.DRAMWriteBW()/mem.GB,
-				sample.NVRAMReadBW()/mem.GB, sample.NVRAMWriteBW()/mem.GB,
-				fmt.Sprint(sample.Delta.TagHit), fmt.Sprint(sample.Delta.TagMissClean), fmt.Sprint(sample.Delta.TagMissDirty))
+			t.AddRow(tr.name, d.Label,
+				d.DRAMReadBW()/mem.GB, d.DRAMWriteBW()/mem.GB,
+				d.NVRAMReadBW()/mem.GB, d.NVRAMWriteBW()/mem.GB,
+				fmt.Sprint(d.TagHit), fmt.Sprint(d.TagMissClean), fmt.Sprint(d.TagMissDirty))
 		}
 	}
 	return t

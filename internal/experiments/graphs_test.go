@@ -136,10 +136,10 @@ func TestFig9TraceShape(t *testing.T) {
 		t.Fatal("missing pagerank traces")
 	}
 	// Steady-state (last round) samples.
-	smallLast := smallTr.Samples()[smallTr.Len()-2] // before drain
-	largeLast := largeTr.Samples()[largeTr.Len()-2]
-	smallMisses := smallLast.Delta.TagMissClean + smallLast.Delta.TagMissDirty
-	largeMisses := largeLast.Delta.TagMissClean + largeLast.Delta.TagMissDirty
+	smallLast := smallTr.Deltas()[smallTr.Len()-2] // before drain
+	largeLast := largeTr.Deltas()[largeTr.Len()-2]
+	smallMisses := smallLast.TagMissClean + smallLast.TagMissDirty
+	largeMisses := largeLast.TagMissClean + largeLast.TagMissDirty
 	if largeMisses == 0 {
 		t.Error("over-capacity steady state shows no tag misses")
 	}

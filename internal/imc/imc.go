@@ -141,6 +141,26 @@ func (c Counters) String() string {
 		c.TagHit, c.TagMissClean, c.TagMissDirty, c.DDO, c.LLCRead, c.LLCWrite)
 }
 
+// Sample returns the counters as a cumulative telemetry sample clocked
+// by their own demand. It is the one place counter fields are copied
+// into the telemetry shape; callers set Clock, Label and the channel
+// and media fields their source has.
+func (c Counters) Sample() telemetry.Sample {
+	return telemetry.Sample{
+		Demand:       c.Demand(),
+		LLCRead:      c.LLCRead,
+		LLCWrite:     c.LLCWrite,
+		DRAMRead:     c.DRAMRead,
+		DRAMWrite:    c.DRAMWrite,
+		NVRAMRead:    c.NVRAMRead,
+		NVRAMWrite:   c.NVRAMWrite,
+		TagHit:       c.TagHit,
+		TagMissClean: c.TagMissClean,
+		TagMissDirty: c.TagMissDirty,
+		DDO:          c.DDO,
+	}
+}
+
 // Policy configures the controller's allocation behavior. The real
 // hardware always inserts on a miss for both reads and writes; the
 // alternatives exist for the ablation experiments exploring the
@@ -312,20 +332,7 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 // partitioned over combining buffers, which serial and sharded
 // executions do differently; use nvram.Module.Snapshot for media.
 func (c *Controller) Snapshot() telemetry.Sample {
-	ctr := c.Counters()
-	s := telemetry.Sample{
-		Demand:       ctr.Demand(),
-		LLCRead:      ctr.LLCRead,
-		LLCWrite:     ctr.LLCWrite,
-		DRAMRead:     ctr.DRAMRead,
-		DRAMWrite:    ctr.DRAMWrite,
-		NVRAMRead:    ctr.NVRAMRead,
-		NVRAMWrite:   ctr.NVRAMWrite,
-		TagHit:       ctr.TagHit,
-		TagMissClean: ctr.TagMissClean,
-		TagMissDirty: ctr.TagMissDirty,
-		DDO:          ctr.DDO,
-	}
+	s := c.Counters().Sample()
 	chs := c.DRAM.ChannelCounters()
 	s.ChannelReads = make([]uint64, len(chs))
 	s.ChannelWrites = make([]uint64, len(chs))

@@ -28,6 +28,7 @@ package jobspec
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -475,19 +476,30 @@ func (s Spec) WantsFormat(format string) bool {
 // decoded spec must validate. This is the one wire/file decoding path
 // shared by the -job flag and cmd/simd.
 func Decode(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("jobspec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("jobspec: trailing data after the spec document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// DecodeStrict decodes exactly one JSON document from r into v. Unknown
+// fields are rejected, and so is any token after the document, a stray
+// closing bracket included. It is the strict decoding rule of every
+// spec the front ends read: jobspecs here, sweep specs in cmd/nvsweep.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the document")
+	}
+	return nil
 }
 
 // Load reads, strictly decodes, and validates a spec file.

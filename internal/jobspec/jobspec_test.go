@@ -73,8 +73,14 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingData(t *testing.T) {
-	if _, err := Decode(strings.NewReader(validPoint() + `{"version": 1}`)); err == nil {
-		t.Fatal("trailing document accepted")
+	for _, tail := range []string{`{"version": 1}`, `]`, `}`, ` ] `, `x`} {
+		if _, err := Decode(strings.NewReader(validPoint() + tail)); err == nil {
+			t.Errorf("trailing %q accepted", tail)
+		}
+	}
+	// Trailing whitespace is not data.
+	if _, err := Decode(strings.NewReader(validPoint() + "\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 

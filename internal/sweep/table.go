@@ -47,7 +47,7 @@ var tableHeader = []string{
 	"hit_rate", "amplification",
 }
 
-func u(v uint64) string { return strconv.FormatUint(v, 10) }
+func u(v uint64) string  { return strconv.FormatUint(v, 10) }
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 
 // WriteCSV writes the merged result table through the telemetry CSV
@@ -139,22 +139,10 @@ func (r *Runner) EmitSamples(sink telemetry.Sink) {
 	}
 	for i := range r.rows {
 		row := &r.rows[i]
-		c := row.Counters
-		sink.Record(telemetry.Sample{
-			Demand:       row.Lines,
-			Label:        r.jobs[i].Name,
-			LLCRead:      c.LLCRead,
-			LLCWrite:     c.LLCWrite,
-			DRAMRead:     c.DRAMRead,
-			DRAMWrite:    c.DRAMWrite,
-			NVRAMRead:    c.NVRAMRead,
-			NVRAMWrite:   c.NVRAMWrite,
-			TagHit:       c.TagHit,
-			TagMissClean: c.TagMissClean,
-			TagMissDirty: c.TagMissDirty,
-			DDO:          c.DDO,
-			MediaReads:   row.MediaReads,
-			MediaWrites:  row.MediaWrites,
-		})
+		s := row.Counters.Sample()
+		s.Demand = row.Lines
+		s.Label = r.jobs[i].Name
+		s.MediaReads, s.MediaWrites = row.MediaReads, row.MediaWrites
+		sink.Record(s)
 	}
 }

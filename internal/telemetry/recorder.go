@@ -23,6 +23,10 @@ import (
 // at barriers).
 type Recorder struct {
 	samples []Sample
+	// start is the simulated clock the first sample's interval begins
+	// at: 0 for a series recorded since reset, the preceding sample's
+	// Clock for a Window.
+	start float64
 }
 
 // NewRecorder returns an empty recorder.
@@ -50,16 +54,90 @@ func (r *Recorder) Last() Sample {
 }
 
 // Deltas returns the interval-delta form of the series: element i is
-// sample i minus sample i-1 (the first delta is against zero). This
-// is the shape bandwidth traces plot.
+// sample i minus sample i-1, so its Clock is the interval's duration
+// (the first delta is against zero counters at the series' start
+// clock). This is the shape bandwidth traces plot.
 func (r *Recorder) Deltas() []Sample {
 	out := make([]Sample, len(r.samples))
-	var prev Sample
+	prev := Sample{Clock: r.start}
 	for i, s := range r.samples {
 		out[i] = s.Sub(prev)
 		prev = s
 	}
 	return out
+}
+
+// Window returns the series from sample from on, rebased so that its
+// counters count from sample from-1 (or from the series' start when
+// from is 0). Clocks stay absolute, so the window's first interval
+// keeps its own duration rather than the time since reset. The result
+// is a copy.
+func (r *Recorder) Window(from int) *Recorder {
+	base := Sample{Clock: r.start}
+	if from > 0 {
+		base = r.samples[from-1]
+	}
+	w := &Recorder{samples: make([]Sample, 0, len(r.samples)-from), start: base.Clock}
+	for _, s := range r.samples[from:] {
+		d := s.Sub(base)
+		d.Clock = s.Clock
+		w.samples = append(w.samples, d)
+	}
+	return w
+}
+
+// Rebin downsamples the series into bins of the given width in
+// simulated seconds, for rendering long traces at a readable
+// resolution (the paper's Figure 10 uses a 2.5 s sliding average for
+// the same reason). A bin closes at the first sample whose clock
+// reaches its end, and keeps that sample, labeled with the bin's
+// first non-empty label; a trailing partial bin is kept when it
+// covers any time. A non-positive width returns r itself.
+func (r *Recorder) Rebin(width float64) *Recorder {
+	if width <= 0 || len(r.samples) == 0 {
+		return r
+	}
+	out := &Recorder{start: r.start}
+	last := r.start
+	binEnd := r.start + width
+	label := ""
+	for _, s := range r.samples {
+		if label == "" {
+			label = s.Label
+		}
+		if s.Clock >= binEnd {
+			s.Label = label
+			out.Record(s)
+			last, label = s.Clock, ""
+			binEnd += width
+		}
+	}
+	if tail := r.samples[len(r.samples)-1]; tail.Clock > last {
+		tail.Label = label
+		out.Record(tail)
+	}
+	return out
+}
+
+// WriteIntervalCSV emits one row per interval: its end time and
+// duration in simulated seconds, DRAM and NVRAM bandwidths in GB/s,
+// tag events and label — the per-kernel trace format of the paper's
+// Figures 5, 9 and 10.
+func (r *Recorder) WriteIntervalCSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "time_s,dur_s,dram_read_gbs,dram_write_gbs,nvram_read_gbs,nvram_write_gbs,tag_hit,tag_miss_clean,tag_miss_dirty,ddo,label"); err != nil {
+		return err
+	}
+	for i, d := range r.Deltas() {
+		if _, err := fmt.Fprintf(w, "%.6f,%.6f,%.3f,%.3f,%.3f,%.3f,%d,%d,%d,%d,%s\n",
+			r.samples[i].Clock, d.Clock,
+			d.DRAMReadBW()/1e9, d.DRAMWriteBW()/1e9,
+			d.NVRAMReadBW()/1e9, d.NVRAMWriteBW()/1e9,
+			d.TagHit, d.TagMissClean, d.TagMissDirty, d.DDO,
+			d.Label); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // header returns the CSV column names: the fixed counter columns
@@ -137,7 +215,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 }
 
 // formatSeconds renders simulated seconds with fixed microsecond
-// precision, matching the perfcounter trace convention.
+// precision, matching the interval trace convention.
 func formatSeconds(s float64) string { return strconv.FormatFloat(s, 'f', 6, 64) }
 
 // formatGBs renders a bytes/s rate in GB/s with fixed precision.

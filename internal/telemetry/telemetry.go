@@ -4,20 +4,22 @@
 // consuming deterministic counter time-series.
 //
 // The paper's core evidence is time-series uncore-counter traces
-// (Figures 5-9: DRAM and NVRAM bandwidth over the run, not just
-// end-of-run totals). Before this package the repository had four
-// ad-hoc observability surfaces — imc.Controller.Counters snapshots,
-// internal/perfcounter, engine.ThroughputReport's bespoke JSON and
-// results.Table — each with its own sampling and serialization
-// conventions. telemetry replaces that scatter with a single seam:
+// (Figures 5-10: DRAM and NVRAM bandwidth over the run, not just
+// end-of-run totals). Every producer records them as this package's
+// cumulative Sample:
 //
 //   - Source is implemented by imc.Controller, engine.Sharded,
 //     core.System and nvram.Module; a Snapshot is cheap and always
 //     consistent because every producer is single-writer.
+//     imc.Counters.Sample is the one conversion from controller
+//     counters to a Sample.
 //   - Sink has three shipped implementations: Recorder (deterministic
 //     in-memory time series with CSV/JSON writers), TraceSink (the
 //     Figure 5-9-style artifact writer), and Prom (Prometheus text
 //     exposition over HTTP for live inspection of long runs).
+//   - core.System keeps the intervals it closes with Sync in a
+//     Recorder clocked by simulated time; Window, Rebin and
+//     WriteIntervalCSV turn that into the per-kernel trace artifacts.
 //
 // # Determinism rules
 //
@@ -235,66 +237,6 @@ func WithLabel(sink Sink, label string) Sink {
 		return nil
 	}
 	return labeled{sink: sink, label: label}
-}
-
-// --- sampler ----------------------------------------------------------
-
-// Sampler drives a Sink from a Source at a fixed demand-line
-// interval: Tick snapshots the source and records iff the source's
-// cumulative demand has crossed the next multiple of Every since the
-// last recorded sample. It is the generic driver for producers that
-// do not embed their own hook (per-op replay loops, tests); the
-// controller and engine hooks implement the same boundary rule
-// inline so their disabled cost stays one branch.
-type Sampler struct {
-	src   Source
-	sink  Sink
-	every uint64
-	next  uint64
-	last  uint64 // demand at the last recorded sample
-	have  bool   // a sample has been recorded
-}
-
-// NewSampler returns a sampler emitting every `every` demand lines
-// (every == 0 records on each Tick).
-func NewSampler(src Source, sink Sink, every uint64) *Sampler {
-	return &Sampler{src: src, sink: sink, every: every, next: every}
-}
-
-// Tick samples the source if its demand clock crossed the sampling
-// boundary, returning whether a sample was recorded. Multiple
-// boundaries crossed since the last Tick collapse into one sample —
-// the recorded series reflects the producer's batching points, which
-// deterministic comparisons must share.
-func (sp *Sampler) Tick() bool {
-	snap := sp.src.Snapshot()
-	if snap.Demand < sp.next {
-		return false
-	}
-	sp.record(snap)
-	return true
-}
-
-// Flush records a final sample if demand advanced past the last
-// recorded sample — the end-of-run partial interval.
-func (sp *Sampler) Flush() bool {
-	snap := sp.src.Snapshot()
-	if sp.have && snap.Demand == sp.last {
-		return false
-	}
-	sp.record(snap)
-	return true
-}
-
-func (sp *Sampler) record(snap Sample) {
-	sp.sink.Record(snap)
-	sp.last = snap.Demand
-	sp.have = true
-	if sp.every == 0 {
-		sp.next = snap.Demand + 1
-	} else {
-		sp.next = (snap.Demand/sp.every + 1) * sp.every
-	}
 }
 
 // NextBoundary returns the first sampling boundary strictly above

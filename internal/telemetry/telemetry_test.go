@@ -90,72 +90,6 @@ func TestTeeAndWithLabel(t *testing.T) {
 	}
 }
 
-// fakeSource is a Source whose demand the test advances by hand.
-type fakeSource struct{ s Sample }
-
-func (f *fakeSource) Snapshot() Sample { return f.s }
-
-func TestSamplerBoundaries(t *testing.T) {
-	src := &fakeSource{}
-	rec := NewRecorder()
-	sp := NewSampler(src, rec, 100)
-
-	src.s = sampleAt(50)
-	if sp.Tick() {
-		t.Fatal("should not sample below the first boundary")
-	}
-	src.s = sampleAt(100)
-	if !sp.Tick() {
-		t.Fatal("should sample at the boundary")
-	}
-	// Crossing several boundaries at once collapses into one sample.
-	src.s = sampleAt(450)
-	if !sp.Tick() {
-		t.Fatal("should sample after skipping boundaries")
-	}
-	src.s = sampleAt(460)
-	if sp.Tick() {
-		t.Fatal("next boundary should be 500 after sampling at 450")
-	}
-	// Flush records the partial tail exactly once.
-	if !sp.Flush() {
-		t.Fatal("flush with advanced demand should record")
-	}
-	if sp.Flush() {
-		t.Fatal("second flush without progress should not record")
-	}
-	demands := []uint64{}
-	for _, s := range rec.Samples() {
-		demands = append(demands, s.Demand)
-	}
-	want := []uint64{100, 450, 460}
-	if len(demands) != len(want) {
-		t.Fatalf("recorded demands %v, want %v", demands, want)
-	}
-	for i := range want {
-		if demands[i] != want[i] {
-			t.Fatalf("recorded demands %v, want %v", demands, want)
-		}
-	}
-}
-
-func TestSamplerEveryZeroRecordsEachTick(t *testing.T) {
-	src := &fakeSource{}
-	rec := NewRecorder()
-	sp := NewSampler(src, rec, 0)
-	src.s = sampleAt(1)
-	if !sp.Tick() {
-		t.Fatal("every=0 should record on each advancing tick")
-	}
-	if sp.Tick() {
-		t.Fatal("every=0 should not re-record without progress")
-	}
-	src.s = sampleAt(2)
-	if !sp.Tick() {
-		t.Fatal("every=0 should record after progress")
-	}
-}
-
 func TestNextBoundary(t *testing.T) {
 	cases := []struct{ demand, every, want uint64 }{
 		{0, 100, 100},
